@@ -28,18 +28,16 @@ from .elements import (
     ElementBasis,
     Family,
     MismatchedCounts,
-    PhysicalBasis,
     UnisolvencyReport,
     bfs_element,
     element_basis,
     enriched_dofs,
     enriched_nodal_basis,
     enriched_space,
-    physical_basis,
     unisolvency_report,
 )
 from .mesh import DofMap, RectMesh, build_dof_map, build_mesh, clamped_flags
-from .poly2d import DofFunctional, DofKind, Poly2D, apply_functional
+from .poly2d import DofFunctional, DofKind, Poly2D
 from .study import (
     Check,
     ExactSolution,

@@ -1,11 +1,14 @@
 """Quadrature, stiffness/load assembly for the bilinear form (lap u, lap v),
-strong elimination of clamped DOFs, and SPD solvers.
+strong elimination of clamped DOFs, SPD solvers, and evaluation of finite
+element functions.
 
-Element integrals are computed on the reference square and scaled: with the
-map x = x0 + h xi, a stiffness entry picks up h^(o_m + o_n - 2) and a load
-entry h^(o_m + 2), where o is the DOF derivative order (the physical nodal
-function is h^o times the reference one).  On a uniform mesh the scaled
-reference stiffness block is shared by every element.
+Scaling rule: with the map x = x0 + h xi, the physical nodal function of a
+DOF of derivative order o is h^o times the reference one.  So a stiffness
+entry picks up h^(o_m + o_n - 2), a load entry h^(o_m + 2), and evaluation
+multiplies physical DOF values by h^o and divides a (d_x, d_y) derivative by
+h^(d_x + d_y).  On a uniform mesh every element shares the scaled reference
+stiffness block and one tabulation per evaluation, so assembly and
+evaluation are array operations over (element, local DOF).
 """
 
 from __future__ import annotations
@@ -132,31 +135,24 @@ def assemble(
     free_dofs = np.flatnonzero(~dof_map.is_boundary)
     free_index[free_dofs] = np.arange(len(free_dofs))
 
-    rows, cols, vals = [], [], []
-    rhs = np.zeros(len(free_dofs))
-    for e in range(mesh.n_elements):
-        gdofs = dof_map.local_to_global[e]
-        fslots = free_index[gdofs]
-        keep = fslots >= 0
-        ii = np.flatnonzero(keep)
-        if ii.size:
-            rows.append(np.repeat(fslots[ii], ii.size))
-            cols.append(np.tile(fslots[ii], ii.size))
-            vals.append(elem_stiff[np.ix_(ii, ii)].ravel())
-        x0, y0 = mesh.element_corner(e)
-        fq = np.asarray(f(x0 + h * ql.points[:, 0], y0 + h * ql.points[:, 1]),
-                        dtype=float)
-        be = load_scale * (load_vals.T @ (ql.weights * fq))
-        np.add.at(rhs, fslots[ii], be[ii])
+    # (element, local) slots; pairs of free slots in element-major, row-major
+    # order, so duplicate entries are summed exactly as a per-element loop would
+    fslots = free_index[dof_map.local_to_global]
+    keep = fslots >= 0
+    pairs = keep[:, :, None] & keep[:, None, :]
+    shape = pairs.shape
+    rows = np.broadcast_to(fslots[:, :, None], shape)[pairs]
+    cols = np.broadcast_to(fslots[:, None, :], shape)[pairs]
+    vals = np.broadcast_to(elem_stiff, shape)[pairs]
+
+    x0, y0 = mesh.element_corner(np.arange(mesh.n_elements))
+    fq = np.asarray(f(x0[:, None] + h * ql.points[:, 0],
+                      y0[:, None] + h * ql.points[:, 1]), dtype=float)
+    load = load_scale * ((fq * ql.weights) @ load_vals)
+    rhs = np.bincount(fslots[keep], weights=load[keep], minlength=len(free_dofs))
 
     n = len(free_dofs)
-    if rows:
-        coo = scipy.sparse.coo_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(n, n))
-        matrix = coo.tocsr()  # sums duplicates in sorted order
-    else:
-        matrix = scipy.sparse.csr_matrix((n, n))
+    matrix = scipy.sparse.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
     return LinearSystem(matrix=matrix, rhs=rhs, free_dofs=free_dofs,
                         free_index=free_index, total=dof_map.total)
 
@@ -171,6 +167,8 @@ class SolveResult:
 
 #: free-system size up to which "auto" picks the dense direct path
 DIRECT_LIMIT = 6000
+
+SOLVER_METHODS = ("auto", "cg", "direct")
 
 
 def _expand(system: LinearSystem, x: FloatArray) -> FloatArray:
@@ -248,7 +246,7 @@ def solve(system: LinearSystem, rel_tol: float = 1e-13,
     50 * dim), "direct" (dense Cholesky), or "auto" (direct up to
     DIRECT_LIMIT free DOFs, else cg).
     """
-    if method not in ("cg", "direct", "auto"):
+    if method not in SOLVER_METHODS:
         raise ValueError(f"unknown solver method {method!r}")
     if system.n_free == 0:
         return SolveResult(_expand(system, np.zeros(0)), 0, 0.0, "empty")
@@ -262,6 +260,31 @@ def solve(system: LinearSystem, rel_tol: float = 1e-13,
         return SolveResult(_expand(system, x), 1, rel, "direct")
     x, iterations, rel = _solve_pcg(system, rel_tol)
     return SolveResult(_expand(system, x), iterations, rel, "cg")
+
+
+def evaluate_on_elements(
+    mesh: RectMesh,
+    dof_map: DofMap,
+    basis: ElementBasis,
+    coeffs: FloatArray,
+    ref_points: FloatArray,
+    deriv: tuple[int, int] = (0, 0),
+    elements: np.ndarray | None = None,
+) -> FloatArray:
+    """(deriv_x, deriv_y) derivative of the finite element function given by
+    global physical DOF values, at reference points shared by every element.
+
+    ref_points: (npts, 2) coordinates on [0,1]^2.  Returns (n_elements, npts),
+    or one row per entry of ``elements``.
+    """
+    h = mesh.h
+    l2g = dof_map.local_to_global
+    if elements is not None:
+        l2g = l2g[elements]
+    # physical nodal n = h^o_n * reference nodal n; each derivative divides by h
+    scale = h ** (basis.deriv_orders - deriv[0] - deriv[1]).astype(float)
+    vals = basis.tabulate(ref_points, deriv) * scale
+    return np.asarray(coeffs, dtype=float)[l2g] @ vals.T
 
 
 def evaluate_solution(
@@ -282,14 +305,13 @@ def evaluate_solution(
     """
     if not (deriv[0] <= 2 and deriv[1] <= 2):
         raise ValueError("derivative orders above 2 are not tabulated")
+    if element is not None and not 0 <= element < mesh.n_elements:
+        raise ValueError(f"element {element} outside 0..{mesh.n_elements - 1}")
     try:
         e = mesh.locate(x, y) if element is None else element
     except ValueError as err:
         raise OutOfDomain(str(err)) from err
-    h = mesh.h
     x0, y0 = mesh.element_corner(e)
-    local = np.asarray(coeffs, dtype=float)[dof_map.local_to_global[e]]
-    scaled = local * h ** basis.deriv_orders.astype(float)
-    pts = np.array([[(x - x0) / h, (y - y0) / h]])
-    vals = basis.tabulate(pts, deriv)[0]
-    return float(vals @ scaled) / h ** (deriv[0] + deriv[1])
+    pts = np.array([[(x - x0) / mesh.h, (y - y0) / mesh.h]])
+    vals = evaluate_on_elements(mesh, dof_map, basis, coeffs, pts, deriv, elements=[e])
+    return float(vals[0, 0])

@@ -4,11 +4,23 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import asdict
 
 from . import assembly, study
 from .elements import Family
+
+
+def _positive(kind):
+    """argparse type: a finite number of ``kind`` greater than zero."""
+    def parse(text: str):
+        value = kind(text)
+        if not (math.isfinite(value) and value > 0):
+            raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+        return value
+    parse.__name__ = kind.__name__  # names the type in argparse's messages
+    return parse
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -23,12 +35,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p_study = sub.add_parser("study", help="run a convergence study")
     p_study.add_argument("--family", choices=families, required=True)
     p_study.add_argument("--k", type=int, choices=range(4, 9), required=True)
-    p_study.add_argument("--levels", type=int, default=None,
+    p_study.add_argument("--levels", type=_positive(int), default=None,
                          help="finest refinement level (default 6 for k<=5, 4 above)")
-    p_study.add_argument("--tol", type=float, default=1e-13,
+    p_study.add_argument("--tol", type=_positive(float), default=1e-13,
                          help="relative residual for the iterative solver")
-    p_study.add_argument("--solver", choices=["auto", "cg", "direct"],
-                         default="auto")
+    p_study.add_argument("--solver", choices=assembly.SOLVER_METHODS, default="auto")
     p_study.add_argument("--format", choices=["table", "csv", "json"],
                          default="table")
     p_study.add_argument("--out", default=None, help="write output to a file")
@@ -36,7 +47,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run the invariant checks")
     p_verify.add_argument("--family", choices=families, required=True)
     p_verify.add_argument("--k", type=int, choices=range(4, 9), required=True)
-    p_verify.add_argument("--level", type=int, default=2)
+    p_verify.add_argument("--level", type=_positive(int), default=2)
     p_verify.add_argument("--format", choices=["text", "json"], default="text")
     p_verify.add_argument("--out", default=None)
     return parser

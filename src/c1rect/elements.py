@@ -275,44 +275,3 @@ def unisolvency_report(family: Family, k: int) -> UnisolvencyReport:
         raise MismatchedCounts(f"dim {dim} != n_dof {n_dof} for {family.value} k={k}")
     return UnisolvencyReport(dim=dim, n_dof=n_dof, rcond=element_basis(family, k).rcond)
 
-
-class PhysicalBasis:
-    """Evaluation adapter for a square [x0, x0+h] x [y0, y0+h].
-
-    A physical nodal function equals h^o times the reference one composed
-    with (x - x0)/h, where o is the DOF's derivative order; consequently a
-    coefficient vector of physical DOF values converts to reference units by
-    multiplying first-derivative slots by h and mixed slots by h^2.
-    """
-
-    def __init__(self, basis: ElementBasis, h: float):
-        if h <= 0:
-            raise ValueError("mesh size must be positive")
-        self.basis = basis
-        self.h = h
-        self.dof_scale: FloatArray = h ** basis.deriv_orders.astype(float)
-
-    def to_reference_coeffs(self, coeffs: FloatArray) -> FloatArray:
-        return np.asarray(coeffs, dtype=float) * self.dof_scale
-
-    def nodal_value(self, n: int, x, y, x0: float = 0.0, y0: float = 0.0,
-                    deriv: tuple[int, int] = (0, 0)):
-        xi = (np.asarray(x, dtype=float) - x0) / self.h
-        eta = (np.asarray(y, dtype=float) - y0) / self.h
-        ref = self.basis.nodal[n].derivative(*deriv)(xi, eta)
-        return ref * self.dof_scale[n] / self.h ** (deriv[0] + deriv[1])
-
-    def evaluate(self, coeffs: FloatArray, x: float, y: float,
-                 x0: float = 0.0, y0: float = 0.0,
-                 deriv: tuple[int, int] = (0, 0)) -> float:
-        """Evaluate sum_n coeffs[n] * (physical nodal n) or a derivative of it."""
-        xi = (float(x) - x0) / self.h
-        eta = (float(y) - y0) / self.h
-        pts = np.array([[xi, eta]])
-        vals = self.basis.tabulate(pts, deriv)[0]
-        scaled = self.to_reference_coeffs(coeffs)
-        return float(vals @ scaled) / self.h ** (deriv[0] + deriv[1])
-
-
-def physical_basis(basis: ElementBasis, h: float) -> PhysicalBasis:
-    return PhysicalBasis(basis, h)

@@ -1,17 +1,19 @@
 """Uniform n-by-n square meshes of the unit square and global DOF numbering.
 
-Global numbering: vertex DOFs first (vertices ordered lexicographically by
-(y, x)), then horizontal-edge DOFs, then vertical-edge DOFs (each edge group
-lexicographic by (y, x) of the edge origin), then element-interior DOFs.
-Shared entities use the same slot order from both adjacent elements because
-edge DOFs are enumerated by increasing global coordinate, so the map is
-orientation-free on axis-aligned meshes.
+Numbering: elements, vertices and edges are lexicographic by (y, x) of their
+lower-left corner or origin, so every id is closed-form in the element index
+(i, j).  Global DOFs are the vertex DOFs first (4 per vertex), then
+horizontal-edge DOFs, then vertical-edge DOFs, then element-interior DOFs,
+each block ordered by entity id and then by slot.  Shared entities use the
+same slot order from both adjacent elements because edge DOFs are enumerated
+by increasing global coordinate, so the map is orientation-free on
+axis-aligned meshes.  The h-scaling of DOF values is the business of
+``assembly``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterator
 
 import numpy as np
 
@@ -63,10 +65,6 @@ class RectMesh:
     def vertex_id(self, i: int, j: int) -> int:
         return j * (self.n + 1) + i
 
-    def vertex_coords(self, v: int) -> tuple[float, float]:
-        j, i = divmod(v, self.n + 1)
-        return i * self.h, j * self.h
-
     def h_edge_id(self, i: int, j: int) -> int:
         """Horizontal edge from vertex (i, j) to (i+1, j); i < n, j <= n."""
         return j * self.n + i
@@ -85,48 +83,6 @@ class RectMesh:
     def element_corner(self, e: int) -> tuple[float, float]:
         i, j = self.element_index(e)
         return i * self.h, j * self.h
-
-    def element_vertices(self, e: int) -> tuple[int, int, int, int]:
-        """Vertex ids in local corner order (0,0), (1,0), (1,1), (0,1)."""
-        i, j = self.element_index(e)
-        return (self.vertex_id(i, j), self.vertex_id(i + 1, j),
-                self.vertex_id(i + 1, j + 1), self.vertex_id(i, j + 1))
-
-    def element_edges(self, e: int) -> tuple[tuple[int, int], ...]:
-        """(kind, id) for the bottom, right, top, left edges."""
-        i, j = self.element_index(e)
-        return ((H_EDGE, self.h_edge_id(i, j)),
-                (V_EDGE, self.v_edge_id(i + 1, j)),
-                (H_EDGE, self.h_edge_id(i, j + 1)),
-                (V_EDGE, self.v_edge_id(i, j)))
-
-    # -- boundary classification ----------------------------------------
-
-    def is_boundary_vertex(self, v: int) -> bool:
-        j, i = divmod(v, self.n + 1)
-        return i in (0, self.n) or j in (0, self.n)
-
-    def is_boundary_h_edge(self, idx: int) -> bool:
-        j = idx // self.n
-        return j in (0, self.n)
-
-    def is_boundary_v_edge(self, idx: int) -> bool:
-        i = idx % (self.n + 1)
-        return i in (0, self.n)
-
-    def interior_h_edges(self) -> Iterator[tuple[int, int, int]]:
-        """(edge id, element below, element above) for each interior h-edge."""
-        for j in range(1, self.n):
-            for i in range(self.n):
-                yield (self.h_edge_id(i, j), self.element_id(i, j - 1),
-                       self.element_id(i, j))
-
-    def interior_v_edges(self) -> Iterator[tuple[int, int, int]]:
-        """(edge id, element left, element right) for each interior v-edge."""
-        for j in range(self.n):
-            for i in range(1, self.n):
-                yield (self.v_edge_id(i, j), self.element_id(i - 1, j),
-                       self.element_id(i, j))
 
     def locate(self, x: float, y: float) -> int:
         """Element containing (x, y); boundary points break ties right/top."""
@@ -168,11 +124,15 @@ class DofMap:
 
 
 def build_dof_map(mesh: RectMesh, basis: ElementBasis) -> DofMap:
-    """Number DOFs globally with vertex/edge sharing; no boundary flags yet."""
+    """Number DOFs globally with vertex/edge sharing; no boundary flags yet.
+
+    Each local-DOF column of ``local_to_global`` is filled for all elements
+    at once from the closed-form entity ids.  A global DOF's point is
+    computed in the first element (in element order) that touches it.
+    """
     ne = basis.edge_dof_count
     ni = basis.interior_dof_count
-    n_vert_dofs = 4 * mesh.n_vertices
-    h_base = n_vert_dofs
+    h_base = 4 * mesh.n_vertices
     v_base = h_base + ne * mesh.n_h_edges
     i_base = v_base + ne * mesh.n_v_edges
     total = i_base + ni * mesh.n_elements
@@ -181,42 +141,49 @@ def build_dof_map(mesh: RectMesh, basis: ElementBasis) -> DofMap:
         if len(basis.vertex_dofs(v)) != 4:
             raise ValueError("element must carry exactly 4 DOFs per vertex")
 
+    elems = np.arange(mesh.n_elements)
+    i, j = mesh.element_index(elems)
+    # local corner order (0,0), (1,0), (1,1), (0,1); edges bottom, right, top, left
+    verts = (mesh.vertex_id(i, j), mesh.vertex_id(i + 1, j),
+             mesh.vertex_id(i + 1, j + 1), mesh.vertex_id(i, j + 1))
+    edges = ((H_EDGE, h_base, mesh.h_edge_id(i, j)),
+             (V_EDGE, v_base, mesh.v_edge_id(i + 1, j)),
+             (H_EDGE, h_base, mesh.h_edge_id(i, j + 1)),
+             (V_EDGE, v_base, mesh.v_edge_id(i, j)))
+    x0, y0 = mesh.element_corner(elems)
+
     l2g = np.empty((mesh.n_elements, basis.dim), dtype=np.int64)
     entity_kind = np.empty(total, dtype=np.int8)
     entity_id = np.empty(total, dtype=np.int64)
     kind_code = np.empty(total, dtype=np.int8)
     points = np.empty((total, 2))
     deriv_order = np.empty(total, dtype=np.int8)
-    seen = np.zeros(total, dtype=bool)
+    owner = np.full(total, mesh.n_elements)  # first element to touch each DOF
 
-    edge_bases = {H_EDGE: h_base, V_EDGE: v_base}
-    edge_entity = {H_EDGE: H_EDGE, V_EDGE: V_EDGE}
+    for n, (dof, role) in enumerate(zip(basis.dofs, basis.roles)):
+        if role.entity == "vertex":
+            kind, ids = VERTEX, verts[role.index]
+            g = 4 * ids + role.slot
+        elif role.entity == "edge":
+            kind, base, ids = edges[role.index]
+            g = base + ne * ids + role.slot
+        else:
+            kind, ids = INTERIOR, elems
+            g = i_base + ni * elems + role.slot
+        l2g[:, n] = g
+        entity_kind[g] = kind
+        entity_id[g] = ids
+        kind_code[g] = KIND_ORDER.index(dof.kind)
+        deriv_order[g] = dof.kind.total_order
+        # g has no repeats within a column: distinct elements own distinct
+        # entities of one local slot
+        first = elems < owner[g]
+        owner[g[first]] = elems[first]
+        points[g[first], 0] = x0[first] + mesh.h * dof.point[0]
+        points[g[first], 1] = y0[first] + mesh.h * dof.point[1]
 
-    for e in range(mesh.n_elements):
-        x0, y0 = mesh.element_corner(e)
-        verts = mesh.element_vertices(e)
-        edges = mesh.element_edges(e)
-        for n, (dof, role) in enumerate(zip(basis.dofs, basis.roles)):
-            if role.entity == "vertex":
-                g = 4 * verts[role.index] + role.slot
-                ek, eid = VERTEX, verts[role.index]
-            elif role.entity == "edge":
-                kind, idx = edges[role.index]
-                g = edge_bases[kind] + ne * idx + role.slot
-                ek, eid = edge_entity[kind], idx
-            else:
-                g = i_base + ni * e + role.slot
-                ek, eid = INTERIOR, e
-            l2g[e, n] = g
-            if not seen[g]:
-                seen[g] = True
-                entity_kind[g] = ek
-                entity_id[g] = eid
-                kind_code[g] = KIND_ORDER.index(dof.kind)
-                points[g] = (x0 + mesh.h * dof.point[0], y0 + mesh.h * dof.point[1])
-                deriv_order[g] = dof.kind.total_order
-
-    assert seen.all(), "every global DOF must be touched by some element"
+    assert (owner < mesh.n_elements).all(), \
+        "every global DOF must be touched by some element"
     return DofMap(
         total=total,
         local_to_global=l2g,
@@ -236,13 +203,16 @@ def clamped_flags(mesh: RectMesh, dof_map: DofMap) -> DofMap:
     (the mixed derivative is the tangential derivative of the normal one)
     and all values and normal derivatives on boundary edges.
     """
+    n = mesh.n
+    on_side = np.zeros(n + 1, dtype=bool)
+    on_side[[0, n]] = True
+    # boundary tables indexed by vertex id j * (n + 1) + i, h-edge id
+    # j * n + i and v-edge id j * (n + 1) + i
+    tables = {VERTEX: (on_side[:, None] | on_side[None, :]).ravel(),
+              H_EDGE: np.repeat(on_side, n),
+              V_EDGE: np.tile(on_side, n)}
     flags = np.zeros(dof_map.total, dtype=bool)
-    for g in range(dof_map.total):
-        ek, eid = dof_map.entity_kind[g], int(dof_map.entity_id[g])
-        if ek == VERTEX:
-            flags[g] = mesh.is_boundary_vertex(eid)
-        elif ek == H_EDGE:
-            flags[g] = mesh.is_boundary_h_edge(eid)
-        elif ek == V_EDGE:
-            flags[g] = mesh.is_boundary_v_edge(eid)
+    for kind, table in tables.items():
+        sel = dof_map.entity_kind == kind
+        flags[sel] = table[dof_map.entity_id[sel]]
     return replace(dof_map, is_boundary=flags)

@@ -198,7 +198,3 @@ class DofFunctional:
     def __call__(self, p: Poly2D) -> float:
         ox, oy = self.kind.orders
         return float(p.derivative(ox, oy)(self.point[0], self.point[1]))
-
-
-def apply_functional(functional: DofFunctional, p: Poly2D) -> float:
-    return functional(p)

@@ -98,22 +98,20 @@ def error_norms(
     """
     q = quad if quad is not None else assembly.default_load_rule(basis.k)
     h = mesh.h
-    tab = {d: basis.tabulate(q.points, d) for d in ((0, 0), (2, 0), (1, 1), (0, 2))}
-    scale = h ** basis.deriv_orders.astype(float)
-    l2 = 0.0
-    h2 = 0.0
-    coeffs = np.asarray(coeffs, dtype=float)
-    for e in range(mesh.n_elements):
-        x0, y0 = mesh.element_corner(e)
-        xs = x0 + h * q.points[:, 0]
-        ys = y0 + h * q.points[:, 1]
-        local = coeffs[dof_map.local_to_global[e]] * scale
-        e00 = exact.u(xs, ys) - tab[(0, 0)] @ local
-        e20 = exact.uxx(xs, ys) - (tab[(2, 0)] @ local) / h**2
-        e11 = exact.uxy(xs, ys) - (tab[(1, 1)] @ local) / h**2
-        e02 = exact.uyy(xs, ys) - (tab[(0, 2)] @ local) / h**2
-        l2 += h**2 * float(q.weights @ (e00 * e00))
-        h2 += h**2 * float(q.weights @ (e20 * e20 + 2.0 * e11 * e11 + e02 * e02))
+    x0, y0 = mesh.element_corner(np.arange(mesh.n_elements))
+    xs = x0[:, None] + h * q.points[:, 0]
+    ys = y0[:, None] + h * q.points[:, 1]
+
+    def error(exact_fn, deriv):
+        return exact_fn(xs, ys) - assembly.evaluate_on_elements(
+            mesh, dof_map, basis, coeffs, q.points, deriv)
+
+    e00 = error(exact.u, (0, 0))
+    e20 = error(exact.uxx, (2, 0))
+    e11 = error(exact.uxy, (1, 1))
+    e02 = error(exact.uyy, (0, 2))
+    l2 = h**2 * float(np.sum((e00 * e00) @ q.weights))
+    h2 = h**2 * float(np.sum((e20 * e20 + 2.0 * e11 * e11 + e02 * e02) @ q.weights))
     return math.sqrt(l2), math.sqrt(h2)
 
 
@@ -135,6 +133,11 @@ class StudyConfig:
             raise ValueError("degree must be between 4 and 8")
         if self.max_level < 1:
             raise ValueError("need at least one level")
+        if self.solver not in assembly.SOLVER_METHODS:
+            raise ValueError(f"unknown solver {self.solver!r}")
+        if not (math.isfinite(self.rel_tol) and self.rel_tol > 0.0):
+            raise ValueError(f"relative tolerance must be finite and positive, "
+                             f"got {self.rel_tol}")
 
 
 def default_max_level(k: int) -> int:
@@ -179,7 +182,8 @@ def run_study(config: StudyConfig) -> StudyReport:
             result = assembly.solve(system, rel_tol=config.rel_tol,
                                     method=config.solver)
         except (assembly.NotConverged, assembly.NotSPD) as err:
-            raise type(err)(f"level {level}: {err}") from err
+            err.args = (f"level {level}: {err}",)
+            raise
         l2, h2 = error_norms(mesh, dof_map, basis, result.coeffs, exact)
         l2_order = math.log2(rows[-1].l2_err / l2) if rows else 0.0
         h2_order = math.log2(rows[-1].h2_err / h2) if rows else 0.0
@@ -291,28 +295,22 @@ def c1_jump(mesh: RectMesh, dof_map: DofMap, basis: ElementBasis,
     jumps measure roundoff, not discretization.
     """
     ts = (np.arange(samples_per_edge) + 0.5) / samples_per_edge
-    h = mesh.h
+    zeros, ones = np.zeros_like(ts), np.ones_like(ts)
+    # reference samples on the bottom, top, left and right sides
+    sides = np.concatenate([np.column_stack(p) for p in
+                            ((ts, zeros), (ts, ones), (zeros, ts), (ones, ts))])
+    n, s = mesh.n, samples_per_edge
     worst = 0.0
     umax = 0.0
-    derivs = ((0, 0), (1, 0), (0, 1))
-    for kind, edges in (("h", mesh.interior_h_edges()),
-                        ("v", mesh.interior_v_edges())):
-        for _, e_lo, e_hi in edges:
-            i, j = mesh.element_index(e_hi)
-            for t in ts:
-                if kind == "h":
-                    x, y = (i + t) * h, j * h
-                else:
-                    x, y = i * h, (j + t) * h
-                for d in derivs:
-                    a = assembly.evaluate_solution(mesh, dof_map, basis, coeffs,
-                                                   x, y, d, element=e_lo)
-                    b = assembly.evaluate_solution(mesh, dof_map, basis, coeffs,
-                                                   x, y, d, element=e_hi)
-                    worst = max(worst, abs(a - b))
-                    if d == (0, 0):
-                        umax = max(umax, abs(a))
-    return worst / max(umax, 1e-300)
+    for d in ((0, 0), (1, 0), (0, 1)):
+        vals = assembly.evaluate_on_elements(mesh, dof_map, basis, coeffs, sides, d)
+        bottom, top, left, right = vals.reshape(n, n, 4, s).transpose(2, 0, 1, 3)
+        # (lower/left side, upper/right side) of every interior h- and v-edge
+        for lo, hi in ((top[:-1], bottom[1:]), (right[:, :-1], left[:, 1:])):
+            worst = max(worst, np.max(np.abs(lo - hi), initial=0.0))
+            if d == (0, 0):
+                umax = max(umax, np.max(np.abs(lo), initial=0.0))
+    return float(worst / max(umax, 1e-300))
 
 
 def _duality_residual(basis: ElementBasis) -> float:

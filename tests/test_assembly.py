@@ -91,6 +91,49 @@ def test_stiffness_symmetry_and_definiteness():
     assert eigvals.min() > 0.0
 
 
+def _loop_assemble(mesh, dm, eb, f):
+    """Per-element loop assembly: the reference for the array pipeline."""
+    qs = assembly.default_stiffness_rule(eb.k)
+    ql = assembly.default_load_rule(eb.k)
+    h = mesh.h
+    lap = eb.tabulate(qs.points, (2, 0)) + eb.tabulate(qs.points, (0, 2))
+    ref_stiff = (lap * qs.weights[:, None]).T @ lap
+    scale = h ** eb.deriv_orders.astype(float)
+    elem_stiff = ref_stiff * np.outer(scale, scale) / h**2
+    load_vals = eb.tabulate(ql.points, (0, 0))
+    free_index = -np.ones(dm.total, dtype=np.int64)
+    free_dofs = np.flatnonzero(~dm.is_boundary)
+    free_index[free_dofs] = np.arange(len(free_dofs))
+    rows, cols, vals = [], [], []
+    rhs = np.zeros(len(free_dofs))
+    for e in range(mesh.n_elements):
+        fslots = free_index[dm.local_to_global[e]]
+        ii = np.flatnonzero(fslots >= 0)
+        rows.append(np.repeat(fslots[ii], ii.size))
+        cols.append(np.tile(fslots[ii], ii.size))
+        vals.append(elem_stiff[np.ix_(ii, ii)].ravel())
+        x0, y0 = mesh.element_corner(e)
+        fq = f(x0 + h * ql.points[:, 0], y0 + h * ql.points[:, 1])
+        be = scale * h**2 * (load_vals.T @ (ql.weights * fq))
+        np.add.at(rhs, fslots[ii], be[ii])
+    n = len(free_dofs)
+    matrix = scipy.sparse.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(n, n)).tocsr()
+    return matrix, rhs
+
+
+@pytest.mark.parametrize("family,k", [(Family.ENRICHED_P, 8), (Family.BFS_Q, 6)])
+def test_assembly_matches_element_loop(family, k):
+    f = exact_solution().f
+    mesh, dm, eb, system = _system(family, k, 3, f)
+    matrix, rhs = _loop_assemble(mesh, dm, eb, f)
+    assert np.array_equal(system.matrix.indptr, matrix.indptr)
+    assert np.array_equal(system.matrix.indices, matrix.indices)
+    assert np.array_equal(system.matrix.data, matrix.data)
+    assert np.max(np.abs(system.rhs - rhs)) <= 1e-14 * np.max(np.abs(rhs))
+
+
 def _poly_patch_data():
     # u = x^2 (1-x)^2 y^2 (1-y)^2 lies in Q_4 and P_8 and is clamped
     x2 = Poly2D.from_monomial(np.array([[0.0], [0.0], [1.0]]))
@@ -190,6 +233,17 @@ def test_evaluate_solution_derivative(rng):
         assert got == pytest.approx(2 * x, abs=1e-10)
 
 
+@pytest.mark.parametrize("element", [-1, 4, 7])
+def test_evaluate_solution_rejects_unknown_element(element):
+    # a 2x2 mesh has elements 0..3; -1 used to evaluate element 3's
+    # polynomial outside its square
+    eb = element_basis(Family.ENRICHED_P, 4)
+    mesh = build_mesh(2)
+    dm = build_dof_map(mesh, eb)
+    with pytest.raises(ValueError, match="outside 0..3"):
+        evaluate_solution(mesh, dm, eb, np.ones(dm.total), 0.25, 0.25, element=element)
+
+
 def test_evaluate_solution_out_of_domain():
     eb = element_basis(Family.ENRICHED_P, 4)
     mesh = build_mesh(1)
@@ -204,7 +258,7 @@ def test_value_continuity_across_interior_edge(rng):
     mesh = build_mesh(2)
     dm = build_dof_map(mesh, eb)
     coeffs = rng.standard_normal(dm.total)
-    edge_id, lo, hi = next(iter(mesh.interior_h_edges()))
+    lo, hi = mesh.element_id(0, 0), mesh.element_id(0, 1)
     i, j = mesh.element_index(hi)
     for t in rng.uniform(0.05, 0.95, size=8):
         x, y = (i + t) * mesh.h, j * mesh.h

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from c1rect.cli import main
 from c1rect.study import CSV_COLUMNS, parse_csv
 
@@ -60,3 +62,37 @@ def test_verify_json(capsys):
 def test_csv_columns_constant():
     assert CSV_COLUMNS == ("level", "n", "dim", "l2_err", "l2_order",
                            "h2_err", "h2_order")
+
+
+def test_study_solver_failure_exit_code(capsys):
+    # Jacobi-CG cannot reach 1e-13 on the degree-8 level-3 system
+    code = main(["study", "--family", "p-enriched", "--k", "8", "--levels", "3",
+                 "--solver", "cg"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("solver failure: level 3: no convergence after")
+
+
+def _parse_error(argv, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    return capsys.readouterr().err
+
+
+def test_study_rejects_levels_below_one(capsys):
+    err = _parse_error(["study", "--family", "p-enriched", "--k", "4",
+                        "--levels", "0"], capsys)
+    assert "--levels: must be positive, got 0" in err
+
+
+def test_verify_rejects_level_below_one(capsys):
+    err = _parse_error(["verify", "--family", "p-enriched", "--k", "4",
+                        "--level", "0"], capsys)
+    assert "--level: must be positive, got 0" in err
+
+
+def test_study_rejects_nonpositive_tolerance(capsys):
+    err = _parse_error(["study", "--family", "p-enriched", "--k", "4",
+                        "--tol", "-1"], capsys)
+    assert "--tol: must be positive, got -1" in err

@@ -4,7 +4,6 @@ import pytest
 from c1rect.elements import (
     EDGE_VERTICES,
     Family,
-    PhysicalBasis,
     bfs_element,
     edge_point,
     element_basis,
@@ -13,6 +12,8 @@ from c1rect.elements import (
     enriched_space,
     unisolvency_report,
 )
+from c1rect.assembly import evaluate_solution
+from c1rect.mesh import build_dof_map, build_mesh
 from c1rect.poly2d import DofFunctional, DofKind, Poly2D
 
 ENRICHED_DIMS = {4: 20, 5: 28, 6: 36, 7: 44, 8: 53}
@@ -164,41 +165,59 @@ def test_unisolvency_reports():
             assert rep.rcond > 1e-12
 
 
+def _unit_coeffs(dm, e, n):
+    """Global coefficients of element e's n-th physical nodal function."""
+    coeffs = np.zeros(dm.total)
+    coeffs[dm.local_to_global[e, n]] = 1.0
+    return coeffs
+
+
 def test_physical_basis_identity_at_unit_size(degree):
+    # on the one-element mesh (h = 1) every physical nodal function is the
+    # reference one
     eb = element_basis(Family.ENRICHED_P, degree)
-    pb = PhysicalBasis(eb, 1.0)
-    assert np.all(pb.dof_scale == 1.0)
+    mesh = build_mesh(1)
+    dm = build_dof_map(mesh, eb)
     x, y = 0.3, 0.8
-    for n in (0, eb.dim // 2, eb.dim - 1):
-        assert pb.nodal_value(n, x, y) == pytest.approx(float(eb.nodal[n](x, y)), rel=1e-13)
+    for n in range(eb.dim):
+        got = evaluate_solution(mesh, dm, eb, _unit_coeffs(dm, 0, n), x, y, element=0)
+        assert got == pytest.approx(float(eb.nodal[n](x, y)), rel=1e-13)
 
 
 def test_physical_interpolation_of_linear(rng):
     # interpolating u(x, y) = x on [x0, x0+h]^2 via physical DOFs is exact
     eb = element_basis(Family.ENRICHED_P, 4)
+    mesh = build_mesh(3)
+    dm = build_dof_map(mesh, eb)
     h, x0, y0 = 0.25, 0.5, 0.25
-    pb = PhysicalBasis(eb, h)
-    coeffs = np.zeros(eb.dim)
+    e = mesh.element_id(2, 1)
+    assert mesh.h == h and mesh.element_corner(e) == (x0, y0)
+    coeffs = np.zeros(dm.total)
     for n, dof in enumerate(eb.dofs):
-        px, py = x0 + h * dof.point[0], y0 + h * dof.point[1]
-        coeffs[n] = {DofKind.VALUE: px, DofKind.DX: 1.0,
-                     DofKind.DY: 0.0, DofKind.DXY: 0.0}[dof.kind]
+        px = x0 + h * dof.point[0]
+        coeffs[dm.local_to_global[e, n]] = {DofKind.VALUE: px, DofKind.DX: 1.0,
+                                             DofKind.DY: 0.0, DofKind.DXY: 0.0}[dof.kind]
     for _ in range(10):
         x = x0 + h * rng.uniform(0, 1)
         y = y0 + h * rng.uniform(0, 1)
-        assert pb.evaluate(coeffs, x, y, x0, y0) == pytest.approx(x, abs=1e-12)
+        got = evaluate_solution(mesh, dm, eb, coeffs, x, y, element=e)
+        assert got == pytest.approx(x, abs=1e-12)
 
 
 def test_physical_second_derivative_scaling(rng):
     eb = element_basis(Family.BFS_Q, 4)
+    mesh = build_mesh(4)
+    dm = build_dof_map(mesh, eb)
     h = 0.125
-    pb = PhysicalBasis(eb, h)
+    assert mesh.h == h
     n = eb.dim // 2
+    scale = h ** float(eb.deriv_orders[n])
     for _ in range(5):
         xi, eta = rng.uniform(0, 1, size=2)
         ref = float(eb.nodal[n].derivative(2, 0)(xi, eta))
-        phys = pb.nodal_value(n, h * xi, h * eta, 0.0, 0.0, deriv=(2, 0))
-        assert phys == pytest.approx(ref * pb.dof_scale[n] / h**2, rel=1e-12)
+        phys = evaluate_solution(mesh, dm, eb, _unit_coeffs(dm, 0, n), h * xi, h * eta,
+                                 deriv=(2, 0), element=0)
+        assert phys == pytest.approx(ref * scale / h**2, rel=1e-12)
 
 
 def test_edge_point_covers_vertices():

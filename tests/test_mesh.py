@@ -29,18 +29,6 @@ def test_entity_counts():
     assert m.n_edges == 2 * m.n * (m.n + 1) == 40
 
 
-def test_edge_adjacency():
-    m = build_mesh(2)
-    interior_h = list(m.interior_h_edges())
-    interior_v = list(m.interior_v_edges())
-    assert len(interior_h) == m.n * (m.n - 1)
-    assert len(interior_v) == m.n * (m.n - 1)
-    for _, lo, hi in interior_h:
-        li, lj = m.element_index(lo)
-        hi_i, hi_j = m.element_index(hi)
-        assert li == hi_i and hi_j == lj + 1
-
-
 def test_locate_breaks_ties_right_top():
     m = build_mesh(2)
     assert m.locate(0.5, 0.25) == m.element_id(1, 0)

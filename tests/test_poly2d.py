@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from c1rect.poly2d import DofFunctional, DofKind, Poly2D, apply_functional
+from c1rect.poly2d import DofFunctional, DofKind, Poly2D
 
 
 def random_poly(rng, kx, ky, integer=False):
@@ -112,7 +112,7 @@ def test_monomial_coeffs_roundtrip(rng):
 
 def test_apply_functional_trivial_cases():
     p = Poly2D.from_monomial(np.array([[3.0], [1.0]]))  # x + 3
-    assert apply_functional(DofFunctional(DofKind.VALUE, (0.0, 0.0)), p) == pytest.approx(3.0)
+    assert DofFunctional(DofKind.VALUE, (0.0, 0.0))(p) == pytest.approx(3.0)
     q = Poly2D.monomial(2, 2)
     dxy = DofFunctional(DofKind.DXY, (1.0, 1.0))
     assert dxy(q) == pytest.approx(4.0, rel=1e-13)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ from c1rect.mesh import build_dof_map, build_mesh, clamped_flags
 from c1rect.poly2d import Poly2D
 from c1rect.study import (
     StudyConfig,
+    run_study,
+    c1_jump,
     error_norms,
     exact_solution,
     expected_dim,
@@ -221,6 +224,76 @@ def test_config_validation():
         StudyConfig(family=Family.ENRICHED_P, k=3, max_level=2)
     with pytest.raises(ValueError):
         StudyConfig(family=Family.ENRICHED_P, k=4, max_level=0)
+
+
+@pytest.mark.parametrize("solver", ["lu", "Direct", ""])
+def test_config_rejects_unknown_solver(solver):
+    with pytest.raises(ValueError, match="unknown solver"):
+        StudyConfig(family=Family.ENRICHED_P, k=4, max_level=2, solver=solver)
+
+
+@pytest.mark.parametrize("rel_tol", [-1.0, 0.0, math.nan, math.inf])
+def test_config_rejects_bad_tolerance(rel_tol):
+    with pytest.raises(ValueError, match="relative tolerance"):
+        StudyConfig(family=Family.ENRICHED_P, k=4, max_level=2, rel_tol=rel_tol)
+
+
+def test_solver_failure_keeps_level_and_counts():
+    # no iterate reaches a relative residual of 1e-300 on 8 unknowns
+    config = StudyConfig(family=Family.ENRICHED_P, k=4, max_level=2,
+                         rel_tol=1e-300, solver="cg")
+    with pytest.raises(assembly.NotConverged) as err:
+        run_study(config)
+    assert str(err.value).startswith("level 2: no convergence after")
+    assert 0 < err.value.iterations <= 50 * 8
+    assert err.value.residual >= 0.0
+
+
+def _pointwise_jumps(mesh, dm, eb, coeffs, samples):
+    """Per interior edge (lower/left element, upper/right element): the max
+    value/gradient jump from per-point evaluation; plus max |u_h| below."""
+    ts = (np.arange(samples) + 0.5) / samples
+    n, h = mesh.n, mesh.h
+    edges = [((i, j - 1), (i, j), [((i + t) * h, j * h) for t in ts])
+             for j in range(1, n) for i in range(n)]
+    edges += [((i - 1, j), (i, j), [(i * h, (j + t) * h) for t in ts])
+              for j in range(n) for i in range(1, n)]
+    jumps = {}
+    umax = 0.0
+    for lo, hi, points in edges:
+        lo, hi = mesh.element_id(*lo), mesh.element_id(*hi)
+        worst = 0.0
+        for x, y in points:
+            for d in ((0, 0), (1, 0), (0, 1)):
+                a = assembly.evaluate_solution(mesh, dm, eb, coeffs, x, y, d, element=lo)
+                b = assembly.evaluate_solution(mesh, dm, eb, coeffs, x, y, d, element=hi)
+                worst = max(worst, abs(a - b))
+                if d == (0, 0):
+                    umax = max(umax, abs(a))
+        jumps[(lo, hi)] = worst
+    return jumps, umax
+
+
+def test_c1_jump_matches_pointwise_on_permuted_map():
+    # reversing one element's local-to-global row makes the function
+    # non-conforming across exactly that element's four edges
+    eb = element_basis(Family.ENRICHED_P, 5)
+    mesh = build_mesh(3)
+    dm = build_dof_map(mesh, eb)
+    l2g = dm.local_to_global.copy()
+    bad = mesh.element_id(1, 2)
+    l2g[bad] = l2g[bad, ::-1]
+    broken = replace(dm, local_to_global=l2g)
+    coeffs = np.random.default_rng(3).standard_normal(dm.total)
+
+    jumps, umax = _pointwise_jumps(mesh, broken, eb, coeffs, samples=4)
+    assert len(jumps) == 2 * mesh.n * (mesh.n - 1)
+    known = {(mesh.element_id(1, 1), bad), (bad, mesh.element_id(1, 3)),
+             (mesh.element_id(0, 2), bad), (bad, mesh.element_id(2, 2))}
+    assert {edge for edge, jump in jumps.items() if jump > 1e-6} == known
+    expected = max(jumps.values()) / umax
+    assert c1_jump(mesh, broken, eb, coeffs, samples_per_edge=4) == pytest.approx(
+        expected, rel=1e-12)
 
 
 def test_verify_passes_representative_cases():
