@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse
 
 from .elements import ElementBasis
@@ -80,12 +79,8 @@ class LinearSystem:
     free_index: np.ndarray   # global DOF -> free slot, -1 if constrained
     total: int               # global DOF count including constrained
     #: (element, local DOF) -> free slot, -1 if constrained; the blocks of the
-    #: CG preconditioner.  Without element structure every unknown is a block.
-    element_slots: np.ndarray | None = None
-
-    def __post_init__(self) -> None:
-        if self.element_slots is None:
-            self.element_slots = np.arange(self.n_free)[:, None]
+    #: CG preconditioner
+    element_slots: np.ndarray
 
     @property
     def n_free(self) -> int:
@@ -171,12 +166,10 @@ class SolveResult:
     iterations: int
     residual: float
     method: str
+    fill: int  # nonzeros of the direct factor, L plus U; 0 without one
 
 
-#: free-system size up to which "auto" picks the dense direct path
-DIRECT_LIMIT = 6000
-
-SOLVER_METHODS = ("auto", "cg", "direct")
+SOLVER_METHODS = ("direct", "cg")
 
 
 def _expand(system: LinearSystem, x: FloatArray) -> FloatArray:
@@ -192,24 +185,28 @@ def _positive_diagonal(matrix: scipy.sparse.csr_matrix) -> FloatArray:
     return d
 
 
-def _direct_solver(system: LinearSystem) -> Callable[[FloatArray], tuple[FloatArray, int]]:
-    """Dense Cholesky with symmetric diagonal equilibration.
+def _direct_solver(system: LinearSystem) -> tuple[Callable[[FloatArray], tuple[FloatArray, int]], int]:
+    """Sparse LU with symmetric diagonal equilibration; returns the solver
+    and the fill (nonzeros of L plus U).
 
     Value and mixed-derivative DOFs scale like h^0 vs h^2, which alone costs
     ~h^-4 in condition number at high degree; equilibrating by the diagonal
-    removes that spread before factorization.  The matrix is scaled and
-    factored in place, so one dense n x n array is alive.
+    removes that spread before factorization.  Rows and columns share the
+    fill-reducing ordering and a row is swapped only for an exactly zero
+    pivot, so without a swap the pivots are Cholesky's: all positive if and
+    only if the matrix is SPD, up to roundoff.
     """
+    from scipy.sparse.linalg import splu  # here: 9 MB, 0.1 s that verify and CG never use
     s = 1.0 / np.sqrt(_positive_diagonal(system.matrix))
-    dense = system.matrix.toarray()
-    dense *= s
-    dense *= s[:, None]
+    scaled = system.matrix.multiply(s[:, None]).multiply(s).tocsc()
     try:
-        # symmetric, and its transpose is Fortran-ordered: factored in place
-        factor = scipy.linalg.cho_factor(dense.T, overwrite_a=True, check_finite=False)
-    except scipy.linalg.LinAlgError as err:
+        lu = splu(scaled, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                  options={"SymmetricMode": True})
+    except RuntimeError as err:  # exactly singular
         raise NotSPD(str(err)) from err
-    return lambda r: (s * scipy.linalg.cho_solve(factor, s * r, check_finite=False), 1)
+    if not (np.array_equal(lu.perm_r, lu.perm_c) and np.all(lu.U.diagonal() > 0.0)):
+        raise NotSPD("nonpositive pivot")
+    return (lambda r: (s * lu.solve(s * r), 1)), lu.L.nnz + lu.U.nnz
 
 
 def _element_block_preconditioner(system: LinearSystem) -> Callable[[FloatArray], FloatArray]:
@@ -332,30 +329,31 @@ def _refine(system: LinearSystem,
 
 
 def solve(system: LinearSystem, rel_tol: float = 1e-13,
-          method: str = "cg") -> SolveResult:
+          method: str = "direct") -> SolveResult:
     """Solve the reduced system; returns the expanded global coefficients.
 
-    method: "cg" (conjugate gradients preconditioned by element blocks, each
-    solve to relative residual ``rel_tol`` within 50 * dim iterations),
-    "direct" (equilibrated dense Cholesky), or "auto" (direct up to
-    DIRECT_LIMIT free DOFs, else cg).  Both methods are refined on a
-    long-double residual (see :func:`_refine`), so they return the solution
-    of the stored system up to its conditioning times the long-double unit
+    method: "direct" (equilibrated sparse LU with Cholesky pivots; see
+    :func:`_direct_solver`) or "cg" (conjugate gradients preconditioned by
+    element blocks, each solve to relative residual ``rel_tol`` within
+    50 * dim iterations).  Both methods are refined on a long-double
+    residual (see :func:`_refine`), so they return the solution of the
+    stored system up to its conditioning times the long-double unit
     roundoff; where ``np.longdouble`` is float64, not below float64
     accuracy.  ``iterations`` counts every CG iteration, or every
     triangular solve pair of the direct method; ``residual`` is the
-    long-double relative residual of the returned coefficients.
+    long-double relative residual of the returned coefficients.  A
+    nonpositive pivot or CG curvature raises :class:`NotSPD`.
     """
     if method not in SOLVER_METHODS:
         raise ValueError(f"unknown solver method {method!r}")
     if system.n_free == 0:
-        return SolveResult(_expand(system, np.zeros(0)), 0, 0.0, "empty")
-    if method == "auto":
-        method = "direct" if system.n_free <= DIRECT_LIMIT else "cg"
-    correction = (_direct_solver(system) if method == "direct"
-                  else _pcg_solver(system, rel_tol))
+        return SolveResult(_expand(system, np.zeros(0)), 0, 0.0, "empty", 0)
+    if method == "direct":
+        correction, fill = _direct_solver(system)
+    else:
+        correction, fill = _pcg_solver(system, rel_tol), 0
     x, iterations, rel = _refine(system, correction)
-    return SolveResult(_expand(system, x), iterations, rel, method)
+    return SolveResult(_expand(system, x), iterations, rel, method, fill)
 
 
 def evaluate_on_elements(

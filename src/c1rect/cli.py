@@ -39,7 +39,7 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="finest refinement level (default 6 for k<=5, 4 above)")
     p_study.add_argument("--tol", type=_positive(float), default=1e-13,
                          help="relative residual for the iterative solver")
-    p_study.add_argument("--solver", choices=assembly.SOLVER_METHODS, default="auto")
+    p_study.add_argument("--solver", choices=assembly.SOLVER_METHODS, default="direct")
     p_study.add_argument("--format", choices=["table", "csv", "json"],
                          default="table")
     p_study.add_argument("--out", default=None, help="write output to a file")

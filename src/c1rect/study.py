@@ -125,7 +125,7 @@ class StudyConfig:
     k: int
     max_level: int
     rel_tol: float = 1e-13
-    solver: str = "auto"
+    solver: str = "direct"
 
     def __post_init__(self):
         self.family = Family(self.family)
@@ -193,7 +193,8 @@ def run_study(config: StudyConfig) -> StudyReport:
         level_meta.append({"level": level, "method": result.method,
                            "iterations": result.iterations,
                            "residual": result.residual,
-                           "free_dofs": system.n_free})
+                           "free_dofs": system.n_free,
+                           "nnz": system.matrix.nnz, "fill": result.fill})
     meta = {
         "quad_stiffness_points": config.k + 1,
         "quad_load_points": config.k + 6,

@@ -25,7 +25,7 @@ def cached_study(family, k, max_level):
     key = (Family(family), k, max_level)
     if key not in _study_cache:
         _study_cache[key] = run_study(
-            StudyConfig(family=key[0], k=k, max_level=max_level, solver="auto"))
+            StudyConfig(family=key[0], k=k, max_level=max_level))
     return _study_cache[key]
 
 

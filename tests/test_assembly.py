@@ -7,6 +7,7 @@ from c1rect.assembly import (
     DimensionMismatch,
     LinearSystem,
     NotConverged,
+    NotSPD,
     OutOfDomain,
     evaluate_solution,
     gauss_rule,
@@ -161,7 +162,7 @@ def test_single_unknown_system():
     matrix = scipy.sparse.csr_matrix(np.array([[4.0]]))
     system = LinearSystem(matrix=matrix, rhs=np.array([2.0]),
                           free_dofs=np.array([0]), free_index=np.array([0]),
-                          total=1)
+                          total=1, element_slots=np.array([[0]]))
     result = solve(system, method="cg")
     assert result.coeffs[0] == pytest.approx(0.5, rel=1e-13)
 
@@ -219,9 +220,22 @@ def test_not_converged_reports_iterations():
     assert err.value.residual >= 0.0
 
 
-def test_solver_auto_uses_direct_for_small():
-    mesh, dm, eb, system = _system(Family.ENRICHED_P, 4, 2, exact_solution().f)
-    assert solve(system, method="auto").method == "direct"
+@pytest.mark.parametrize("matrix", [
+    [[1.0, 2.0], [2.0, 1.0]],  # positive diagonal, eigenvalues -1 and 3
+    [[1.0, 0.0], [0.0, 0.0]],  # zero diagonal entry
+    # indefinite; an exactly zero pivot makes the LU swap rows, after which
+    # every pivot is positive
+    [[1.0, 1.0, -1.0, 1.0], [1.0, 2.0, 0.0, 0.0],
+     [-1.0, 0.0, 2.0, -1.0], [1.0, 0.0, -1.0, 2.0]],
+])
+def test_direct_rejects_indefinite_system(matrix):
+    n = len(matrix)
+    system = LinearSystem(matrix=scipy.sparse.csr_matrix(np.array(matrix)),
+                          rhs=np.ones(n), free_dofs=np.arange(n),
+                          free_index=np.arange(n), total=n,
+                          element_slots=np.arange(n)[None, :])
+    with pytest.raises(NotSPD):
+        solve(system, method="direct")
 
 
 def test_evaluate_solution_reproduces_linear(rng):

@@ -39,6 +39,7 @@ def test_study_solver_flag(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert code == 0
     assert payload["meta"]["levels"][1]["method"] == "cg"
+    assert payload["meta"]["levels"][1]["fill"] == 0
 
 
 def test_verify_text(capsys):

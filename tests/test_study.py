@@ -191,6 +191,22 @@ def test_meta_records_solver_and_quadrature():
     assert rep.meta["quad_load_points"] == 10
     assert len(rep.meta["levels"]) == 4
     assert all("iterations" in row for row in rep.meta["levels"])
+    # level 1 has no free DOFs
+    assert [row["method"] for row in rep.meta["levels"]] == ["empty"] + 3 * ["direct"]
+    assert rep.meta["levels"][0]["nnz"] == rep.meta["levels"][0]["fill"] == 0
+    for row in rep.meta["levels"][1:]:
+        assert row["fill"] >= row["nnz"] > 0
+
+
+def test_direct_solve_above_dense_size():
+    # 23 940 free DOFs: a dense factor would hold 4.6 GB
+    rep = cached_study(Family.ENRICHED_P, 4, 7)
+    finest = rep.meta["levels"][-1]
+    assert finest["method"] == "direct"
+    assert finest["free_dofs"] == 23940
+    assert finest["residual"] <= 1e-9
+    assert rep.rows[-2].l2_err == pytest.approx(7.515e-9, rel=1e-3)
+    assert rep.rows[-1].l2_err < rep.rows[-2].l2_err
 
 
 def test_csv_round_trip():
@@ -226,7 +242,7 @@ def test_config_validation():
         StudyConfig(family=Family.ENRICHED_P, k=4, max_level=0)
 
 
-@pytest.mark.parametrize("solver", ["lu", "Direct", ""])
+@pytest.mark.parametrize("solver", ["lu", "Direct", "", "auto"])
 def test_config_rejects_unknown_solver(solver):
     with pytest.raises(ValueError, match="unknown solver"):
         StudyConfig(family=Family.ENRICHED_P, k=4, max_level=2, solver=solver)
