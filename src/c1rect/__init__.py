@@ -37,7 +37,7 @@ from .elements import (
     unisolvency_report,
 )
 from .mesh import DofMap, RectMesh, build_dof_map, build_mesh, clamped_flags
-from .poly2d import DofFunctional, DofKind, Poly2D
+from .poly2d import DofFunctional, DofKind, Poly2D, functional_matrix
 from .study import (
     Check,
     ExactSolution,

@@ -15,7 +15,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .poly2d import DofFunctional, DofKind, FloatArray, Poly2D
+from .poly2d import (DofFunctional, DofKind, FloatArray, Poly2D, functional_matrix,
+                     stack_coeffs)
 
 #: reciprocal-condition floor below which a duality matrix is treated as singular
 RCOND_FLOOR = 1e-14
@@ -149,12 +150,10 @@ def dual_nodal_basis(
     """
     if len(dofs) != len(span):
         raise ValueError(f"{len(dofs)} functionals vs {len(span)} span members")
-    kx = max(p.coeffs.shape[0] for p in span) - 1
-    ky = max(p.coeffs.shape[1] for p in span) - 1
-    M = np.stack([p.padded(kx, ky).ravel() for p in span], axis=1)
-    Q, _ = np.linalg.qr(M)
-    qpolys = [Poly2D(Q[:, n].reshape(kx + 1, ky + 1)) for n in range(Q.shape[1])]
-    V = np.array([[dof(q) for q in qpolys] for dof in dofs])
+    S = stack_coeffs(span)
+    Q, _ = np.linalg.qr(S.reshape(len(span), -1).T)
+    qpolys = [Poly2D(q.reshape(S.shape[1:])) for q in Q.T]
+    V = functional_matrix(dofs, qpolys)
     rcond = float(1.0 / np.linalg.cond(V))
     if not np.isfinite(rcond) or rcond < RCOND_FLOOR:
         raise SingularDofMatrix(
@@ -168,7 +167,7 @@ def dual_nodal_basis(
     residual = float(np.max(np.abs(V @ C - eye)))
     if residual > 1e-8:
         raise SingularDofMatrix(f"duality residual {residual:.3e} after refinement")
-    coeffs = np.einsum("jn,jab->nab", C, Q.T.reshape(len(span), kx + 1, ky + 1))
+    coeffs = np.einsum("jn,jab->nab", C, Q.T.reshape(S.shape))
     return [Poly2D(coeffs[n]) for n in range(len(span))], rcond
 
 

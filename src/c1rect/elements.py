@@ -18,7 +18,8 @@ from functools import lru_cache
 import numpy as np
 
 from .bell import bell_nodal_basis, dual_nodal_basis, select_bubbles
-from .poly2d import DofFunctional, DofKind, FloatArray, Poly2D
+from .poly2d import (DofFunctional, DofKind, FloatArray, Poly2D, _differentiate,
+                     stack_coeffs)
 
 
 class Family(str, Enum):
@@ -119,10 +120,7 @@ class ElementBasis:
     def _deriv_stack(self, order_x: int, order_y: int) -> FloatArray:
         key = (order_x, order_y)
         if key not in self._tab_cache:
-            polys = [p.derivative(order_x, order_y) for p in self.nodal]
-            kx = max(p.coeffs.shape[0] for p in polys) - 1
-            ky = max(p.coeffs.shape[1] for p in polys) - 1
-            self._tab_cache[key] = np.stack([p.padded(kx, ky) for p in polys])
+            self._tab_cache[key] = _differentiate(stack_coeffs(self.nodal), *key)
         return self._tab_cache[key]
 
     def tabulate(self, points: FloatArray, deriv: tuple[int, int] = (0, 0)) -> FloatArray:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from math import comb
+from math import comb, perm
 
 import numpy as np
 import numpy.polynomial.polynomial as npoly
@@ -42,6 +42,27 @@ def _shift_to_plain(n: int) -> FloatArray:
         for i in range(m + 1):
             T[i, m] = comb(m, i) * 2.0**i * (-1.0) ** (m - i)
     return T
+
+
+def _differentiate(c: FloatArray, order_x: int, order_y: int) -> FloatArray:
+    """Partial derivative of coefficient arrays over their trailing two axes.
+
+    The combined multiplier per coefficient is formed from exact integers so
+    that mixed derivatives do not depend on the differentiation order.
+    """
+    if order_x < 0 or order_y < 0:
+        raise ValueError("derivative orders must be nonnegative")
+    kx, ky = c.shape[-2] - 1, c.shape[-1] - 1
+    if order_x > kx or order_y > ky:
+        return np.zeros(c.shape[:-2] + (max(kx - order_x, 0) + 1,
+                                        max(ky - order_y, 0) + 1))
+    mi = np.array([perm(i + order_x, order_x) for i in range(kx + 1 - order_x)],
+                  dtype=float)
+    mj = np.array([perm(j + order_y, order_y) for j in range(ky + 1 - order_y)],
+                  dtype=float)
+    # d/dx = 2 d/du in normalized coordinates
+    return c[..., order_x:, order_y:] * (
+        (mi * 2.0**order_x)[:, None] * (mj * 2.0**order_y)[None, :])
 
 
 class DofKind(Enum):
@@ -131,29 +152,8 @@ class Poly2D:
         return npoly.polyval2d(u, v, self.coeffs)
 
     def derivative(self, order_x: int = 0, order_y: int = 0) -> "Poly2D":
-        """Exact partial derivative; lowers each bidegree component, floor 0.
-
-        The combined multiplier per coefficient is formed as one exact
-        integer product so that mixed derivatives do not depend on the
-        differentiation order.
-        """
-        if order_x < 0 or order_y < 0:
-            raise ValueError("derivative orders must be nonnegative")
-        c = self.coeffs
-        kx, ky = self.bidegree
-        if order_x > kx or order_y > ky:
-            return Poly2D(np.zeros((max(kx - order_x, 0) + 1, max(ky - order_y, 0) + 1)))
-        out = c[order_x:, order_y:].copy()
-        nx, ny = out.shape
-        mi = np.array(
-            [np.prod(np.arange(i + 1, i + order_x + 1)) for i in range(nx)], dtype=float
-        )
-        mj = np.array(
-            [np.prod(np.arange(j + 1, j + order_y + 1)) for j in range(ny)], dtype=float
-        )
-        # d/dx = 2 d/du in normalized coordinates
-        out *= (mi * 2.0**order_x)[:, None] * (mj * 2.0**order_y)[None, :]
-        return Poly2D(out)
+        """Exact partial derivative; lowers each bidegree component, floor 0."""
+        return Poly2D(_differentiate(self.coeffs, order_x, order_y))
 
     def laplacian(self) -> "Poly2D":
         return self.derivative(2, 0) + self.derivative(0, 2)
@@ -198,3 +198,39 @@ class DofFunctional:
     def __call__(self, p: Poly2D) -> float:
         ox, oy = self.kind.orders
         return float(p.derivative(ox, oy)(self.point[0], self.point[1]))
+
+
+def stack_coeffs(polys) -> FloatArray:
+    """Coefficients of ``polys`` zero-padded to a common bidegree: (N, kx+1, ky+1)."""
+    kx = max(p.coeffs.shape[0] for p in polys) - 1
+    ky = max(p.coeffs.shape[1] for p in polys) - 1
+    return np.stack([p.padded(kx, ky) for p in polys])
+
+
+def functional_matrix(dofs, polys) -> FloatArray:
+    """V[m, n] = dofs[m](polys[n]), with one Horner pass per derivative kind.
+
+    Bit-identical to calling each functional: the recurrences repeat
+    ``npoly.polyval2d``'s operations in its order, and the leading zeros of
+    the padding leave Horner's value unchanged, signed zeros included.
+    """
+    coeffs = stack_coeffs(polys)
+    V = np.empty((len(dofs), len(polys)))
+    for kind in DofKind:
+        rows = [m for m, dof in enumerate(dofs) if dof.kind is kind]
+        if not rows:
+            continue
+        c = _differentiate(coeffs, *kind.orders)
+        points = np.array([dofs[m].point for m in rows], dtype=float)
+        u = 2.0 * points[:, 0] - 1.0
+        v = 2.0 * points[:, 1] - 1.0
+        # in u over the x axis for every point: (N, ky+1, P)
+        acc = c[:, -1, :, None] + u * 0
+        for i in range(2, c.shape[1] + 1):
+            acc = c[:, -i, :, None] + acc * u
+        # then in v over the y axis: (N, P)
+        val = acc[:, -1] + v * 0
+        for j in range(2, acc.shape[1] + 1):
+            val = acc[:, -j] + val * v
+        V[rows] = val.T
+    return V

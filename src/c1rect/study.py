@@ -13,6 +13,7 @@ import csv
 import io
 import json
 import math
+import time
 from dataclasses import asdict, dataclass, field
 from typing import Callable
 
@@ -22,7 +23,7 @@ from . import assembly
 from .assembly import QuadratureRule, SolveResult, gauss_rule
 from .elements import ElementBasis, Family, element_basis, unisolvency_report
 from .mesh import DofMap, RectMesh, build_dof_map, build_mesh, clamped_flags
-from .poly2d import FloatArray
+from .poly2d import FloatArray, functional_matrix
 
 
 @dataclass(frozen=True)
@@ -168,23 +169,29 @@ def run_study(config: StudyConfig) -> StudyReport:
 
     The reported dim is the unconstrained global DOF count; the solves use
     the clamped reduced system internally.  Solver errors propagate with the
-    level annotated.
+    level annotated.  Each ``meta["levels"]`` entry carries the wall time of
+    the level's stages: mesh and DOF map, assembly, solve and error norms.
     """
     basis = element_basis(config.family, config.k)
     exact = exact_solution()
     rows: list[StudyRow] = []
     level_meta = []
     for level in range(1, config.max_level + 1):
+        t0 = time.perf_counter()
         mesh = build_mesh(level)
         dof_map = clamped_flags(mesh, build_dof_map(mesh, basis))
+        t1 = time.perf_counter()
         system = assembly.assemble(mesh, dof_map, basis, exact.f)
+        t2 = time.perf_counter()
         try:
             result = assembly.solve(system, rel_tol=config.rel_tol,
                                     method=config.solver)
         except (assembly.NotConverged, assembly.NotSPD) as err:
             err.args = (f"level {level}: {err}",)
             raise
+        t3 = time.perf_counter()
         l2, h2 = error_norms(mesh, dof_map, basis, result.coeffs, exact)
+        t4 = time.perf_counter()
         l2_order = math.log2(rows[-1].l2_err / l2) if rows else 0.0
         h2_order = math.log2(rows[-1].h2_err / h2) if rows else 0.0
         rows.append(StudyRow(level=level, n=mesh.n, dim=dof_map.total,
@@ -194,7 +201,9 @@ def run_study(config: StudyConfig) -> StudyReport:
                            "iterations": result.iterations,
                            "residual": result.residual,
                            "free_dofs": system.n_free,
-                           "nnz": system.matrix.nnz, "fill": result.fill})
+                           "nnz": system.matrix.nnz, "fill": result.fill,
+                           "dof_map_s": t1 - t0, "assemble_s": t2 - t1,
+                           "solve_s": t3 - t2, "errors_s": t4 - t3})
     meta = {
         "quad_stiffness_points": config.k + 1,
         "quad_load_points": config.k + 6,
@@ -315,12 +324,8 @@ def c1_jump(mesh: RectMesh, dof_map: DofMap, basis: ElementBasis,
 
 
 def _duality_residual(basis: ElementBasis) -> float:
-    worst = 0.0
-    for m, dof in enumerate(basis.dofs):
-        for n, p in enumerate(basis.nodal):
-            target = 1.0 if m == n else 0.0
-            worst = max(worst, abs(dof(p) - target))
-    return worst
+    V = functional_matrix(basis.dofs, basis.nodal)
+    return float(np.max(np.abs(V - np.eye(basis.dim))))
 
 
 def _space_reproduction(basis: ElementBasis, rng: np.random.Generator) -> float:
@@ -338,7 +343,7 @@ def _space_reproduction(basis: ElementBasis, rng: np.random.Generator) -> float:
     p = monos[0] * coeffs[0]
     for a, m in zip(coeffs[1:], monos[1:]):
         p = p + a * m
-    dof_values = np.array([dof(p) for dof in basis.dofs])
+    dof_values = functional_matrix(basis.dofs, [p])[:, 0]
     interp = basis.nodal[0] * dof_values[0]
     for a, phi in zip(dof_values[1:], basis.nodal[1:]):
         interp = interp + a * phi

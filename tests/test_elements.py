@@ -13,6 +13,7 @@ from c1rect.elements import (
     unisolvency_report,
 )
 from c1rect.assembly import evaluate_solution
+from c1rect.bell import bell_nodal_basis
 from c1rect.mesh import build_dof_map, build_mesh
 from c1rect.poly2d import DofFunctional, DofKind, Poly2D
 
@@ -60,6 +61,23 @@ def test_enriched_space_has_full_rank(degree):
     V = np.array([[dof(p) for p in span] for dof in dofs])
     assert V.shape[0] == V.shape[1]
     assert np.linalg.matrix_rank(V) == len(span)
+
+
+def test_element_construction_makes_no_functional_calls(monkeypatch):
+    # the duality matrices come from poly2d.functional_matrix, not from
+    # 2809 (enriched), 6561 (BFS) and 5929 (Bell) per-entry calls at k = 8
+    calls = []
+    per_entry = DofFunctional.__call__
+
+    def counted(self, p):
+        calls.append(self)
+        return per_entry(self, p)
+
+    monkeypatch.setattr(DofFunctional, "__call__", counted)
+    enriched_nodal_basis.__wrapped__(8)
+    bfs_element.__wrapped__(8)
+    bell_nodal_basis.__wrapped__(8)
+    assert len(calls) == 0
 
 
 def test_duality_identity(degree):

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from c1rect.poly2d import DofFunctional, DofKind, Poly2D
+from c1rect.bell import bell_dofs, bell_nodal_basis, bell_space
+from c1rect.elements import Family, element_basis, enriched_space
+from c1rect.poly2d import DofFunctional, DofKind, Poly2D, functional_matrix
 
 
 def random_poly(rng, kx, ky, integer=False):
@@ -151,3 +153,37 @@ def test_dxy_symmetric(rng):
     functional = DofFunctional(DofKind.DXY, pt)
     assert functional(p) == pytest.approx(via_xy, rel=1e-13)
     assert functional(p) == pytest.approx(via_yx, rel=1e-13)
+
+
+def _assert_same_bits(dofs, polys):
+    got = functional_matrix(dofs, polys)
+    want = np.array([[dof(p) for p in polys] for dof in dofs])
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def test_functional_matrix_matches_functionals(degree, rng):
+    k = degree
+    spans = {
+        Family.ENRICHED_P: enriched_space(k),
+        Family.BFS_Q: [Poly2D.monomial(i, j) for i in range(k + 1) for j in range(k + 1)],
+    }
+    for family, span in spans.items():
+        eb = element_basis(family, k)
+        _assert_same_bits(eb.dofs, eb.nodal)
+        _assert_same_bits(eb.dofs, span)
+    bb = bell_nodal_basis(k)
+    _assert_same_bits(bb.dofs, bb.nodal)
+    _assert_same_bits(bell_dofs(k), bell_space(k))
+    # mixed bidegrees exercise the zero padding of the stack
+    mixed = [random_poly(rng, kx, ky)[0] for kx, ky in ((0, 0), (3, 1), (1, 5), (k, 2))]
+    _assert_same_bits(bb.dofs, mixed)
+    # derivative orders above the degree: DXY of a constant, DX of y^3
+    dofs = [DofFunctional(kind, (0.25, 0.75)) for kind in DofKind]
+    above = [Poly2D.constant(2.0), Poly2D.monomial(0, 3)]
+    for polys in (above[:1], above[1:], above):
+        _assert_same_bits(dofs, polys)
+    V = functional_matrix(dofs, above)
+    assert V[3, 0] == V[1, 1] == 0.0
+    assert V[2, 1] == pytest.approx(3 * 0.75**2, rel=1e-14)

@@ -196,6 +196,9 @@ def test_meta_records_solver_and_quadrature():
     assert rep.meta["levels"][0]["nnz"] == rep.meta["levels"][0]["fill"] == 0
     for row in rep.meta["levels"][1:]:
         assert row["fill"] >= row["nnz"] > 0
+    for row in rep.meta["levels"]:
+        for stage in ("dof_map_s", "assemble_s", "solve_s", "errors_s"):
+            assert row[stage] >= 0.0
 
 
 def test_direct_solve_above_dense_size():
