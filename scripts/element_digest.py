@@ -1,0 +1,59 @@
+"""Print digests of element data, DOF maps and level-3 systems, to check that a
+change leaves them bit-identical.
+
+Run it on two checkouts and compare the outputs:
+
+    PYTHONPATH=<other checkout>/src python scripts/element_digest.py > a.txt
+    PYTHONPATH=src python scripts/element_digest.py > b.txt
+    diff a.txt b.txt
+
+Digests are SHA-256 over dtype, shape and bytes; other floats print by ``repr``.
+LAPACK builds differ between machines, so compare outputs from one machine.
+"""
+
+import hashlib
+
+import numpy as np
+
+from c1rect import (Family, assemble, bell_nodal_basis, build_dof_map,
+                    build_mesh, clamped_flags, element_basis, exact_solution,
+                    verify)
+from c1rect.poly2d import stack_coeffs
+
+DOF_MAP_FIELDS = ("local_to_global", "is_boundary", "entity_kind", "entity_id",
+                  "kind_code", "points")
+
+
+def digest(*arrays) -> str:
+    sha = hashlib.sha256()
+    for a in map(np.ascontiguousarray, arrays):
+        sha.update(f"{a.dtype.str}{a.shape}".encode())
+        sha.update(a.tobytes())
+    return sha.hexdigest()
+
+
+def element_digest(eb) -> str:
+    table = digest(np.array([d.kind.value for d in eb.dofs]),
+                   np.array([d.point for d in eb.dofs]))
+    return f"dofs {table} nodal {digest(stack_coeffs(eb.nodal))} rcond {eb.rcond!r}"
+
+
+for k in range(4, 9):
+    print(f"bell k={k}", element_digest(bell_nodal_basis(k)))
+for family in Family:
+    for k in range(4, 9):
+        eb = element_basis(family, k)
+        layout = [list(eb.vertex_dofs(v)) for v in range(4)]
+        layout += [list(eb.edge_dofs(e)) for e in range(4)] + [list(eb.interior_dofs())]
+        print(f"{family.value} k={k}", element_digest(eb),
+              "layout", digest(*(np.array(ids, dtype=np.int64) for ids in layout)))
+        for level in range(1, (6 if k <= 6 else 5)):
+            mesh = build_mesh(level)
+            dm = clamped_flags(mesh, build_dof_map(mesh, eb))
+            print(f"  level {level} dof map",
+                  digest(*(getattr(dm, name) for name in DOF_MAP_FIELDS)))
+            if level == 3:
+                system = assemble(mesh, dm, eb, exact_solution().f)
+                m = system.matrix
+                print("  level 3 system", digest(m.indptr, m.indices, m.data, system.rhs))
+        print("  verify", [(c.name, repr(c.value)) for c in verify(family, k, 3)])

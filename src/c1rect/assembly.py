@@ -86,13 +86,6 @@ class LinearSystem:
     def n_free(self) -> int:
         return len(self.free_dofs)
 
-    def symmetry_error(self) -> float:
-        if self.n_free == 0:
-            return 0.0
-        d = self.matrix - self.matrix.T
-        scale = max(np.abs(self.matrix.data).max(), 1e-300)
-        return float(np.abs(d.data).max() / scale) if d.nnz else 0.0
-
 
 def default_stiffness_rule(k: int) -> QuadratureRule:
     """k+1 points per direction: exact for the bidegree <= 2k integrand."""

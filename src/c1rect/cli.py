@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import asdict
 
@@ -21,6 +22,14 @@ def _positive(kind):
         return value
     parse.__name__ = kind.__name__  # names the type in argparse's messages
     return parse
+
+
+def _out_path(text: str) -> str:
+    """argparse type: a file path in an existing directory."""
+    folder = os.path.dirname(text) or "."
+    if not os.path.isdir(folder):
+        raise argparse.ArgumentTypeError(f"directory {folder} does not exist")
+    return text
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -42,23 +51,30 @@ def _build_parser() -> argparse.ArgumentParser:
     p_study.add_argument("--solver", choices=assembly.SOLVER_METHODS, default="direct")
     p_study.add_argument("--format", choices=["table", "csv", "json"],
                          default="table")
-    p_study.add_argument("--out", default=None, help="write output to a file")
+    p_study.add_argument("--out", type=_out_path, default=None,
+                         help="write output to a file")
 
     p_verify = sub.add_parser("verify", help="run the invariant checks")
     p_verify.add_argument("--family", choices=families, required=True)
     p_verify.add_argument("--k", type=int, choices=range(4, 9), required=True)
     p_verify.add_argument("--level", type=_positive(int), default=2)
     p_verify.add_argument("--format", choices=["text", "json"], default="text")
-    p_verify.add_argument("--out", default=None)
+    p_verify.add_argument("--out", type=_out_path, default=None)
     return parser
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(text: str, out: str | None) -> int:
+    """Print ``text`` or write it to ``out``; 2 if that fails, else 0."""
     if out is None:
         print(text)
-    else:
+        return 0
+    try:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text if text.endswith("\n") else text + "\n")
+    except OSError as err:
+        print(f"c1rect: cannot write {out}: {err.strerror or err}", file=sys.stderr)
+        return 2
+    return 0
 
 
 def _run_study(args) -> int:
@@ -75,28 +91,23 @@ def _run_study(args) -> int:
     except (assembly.NotConverged, assembly.NotSPD) as err:
         print(f"solver failure: {err}", file=sys.stderr)
         return 2
-    if args.format == "table":
-        _emit(study.format_table(report), args.out)
-    elif args.format == "csv":
-        _emit(study.report_csv(report), args.out)
-    else:
-        _emit(study.report_json(report), args.out)
-    return 0
+    render = {"table": study.format_table, "csv": study.report_csv,
+              "json": study.report_json}[args.format]
+    return _emit(render(report), args.out)
 
 
 def _run_verify(args) -> int:
     checks = study.verify(Family(args.family), args.k, args.level)
     if args.format == "json":
-        _emit(json.dumps([asdict(c) for c in checks], indent=2), args.out)
+        text = json.dumps([asdict(c) for c in checks], indent=2)
     else:
-        lines = [
+        text = "\n".join(
             f"{'PASS' if c.passed else 'FAIL'} {c.name}: "
             f"value={c.value:.3e} threshold={c.threshold:.3e}"
             + (f" ({c.note})" if c.note else "")
             for c in checks
-        ]
-        _emit("\n".join(lines), args.out)
-    return 0 if all(c.passed for c in checks) else 1
+        )
+    return _emit(text, args.out) or (0 if all(c.passed for c in checks) else 1)
 
 
 def main(argv=None) -> int:

@@ -1,12 +1,20 @@
 """Reference elements on [0,1]^2: the bubble-enriched total-degree family and
 the tensor-product Bogner-Fox-Schmit family.
 
-Both families share the DOF layout that makes global C1 assembly work on
-axis-aligned meshes: four DOFs per vertex (value, d/dx, d/dy, d2/dxdy), edge
-DOFs that are values plus the derivative normal to the edge's axis, and
-element-private interior values.  All derivative DOFs are global-axis
-derivatives, never outward normals, so neighbouring elements share the exact
-same functional without sign flips.
+Both families share one DOF layout, which makes global C1 assembly work on
+axis-aligned meshes.  Local DOFs are numbered
+
+1. 16 vertex DOFs, vertex-major over ``VERTICES``, each vertex carrying
+   value, d/dx, d/dy and d2/dxdy (``VERTEX_KINDS``);
+2. per edge (bottom, right, top, left) the same count of edge DOFs: values,
+   then derivatives normal to the edge's axis (``EDGE_NORMAL_KIND``), each by
+   increasing coordinate along the edge;
+3. element-private interior values.
+
+All derivative DOFs are global-axis derivatives, never outward normals, so
+neighbouring elements share the exact same functional without sign flips.
+Only the edge parameters and interior points differ between the families;
+``ElementBasis`` exposes the layout as index ranges.
 """
 
 from __future__ import annotations
@@ -42,6 +50,9 @@ EDGE_NORMAL_KIND = (DofKind.DY, DofKind.DX, DofKind.DY, DofKind.DX)
 
 VERTEX_KINDS = (DofKind.VALUE, DofKind.DX, DofKind.DY, DofKind.DXY)
 
+#: local DOFs on the vertices, which come first in the layout
+N_VERTEX_DOFS = len(VERTICES) * len(VERTEX_KINDS)
+
 
 def edge_point(edge: int, t: float) -> tuple[float, float]:
     """Reference coordinates of parameter t in [0,1] along an edge."""
@@ -56,33 +67,28 @@ def edge_point(edge: int, t: float) -> tuple[float, float]:
     raise ValueError(f"edge index {edge} out of range")
 
 
-@dataclass(frozen=True)
-class DofRole:
-    """Topological tag of a DOF: owning entity and slot within it."""
-
-    entity: str  # "vertex" | "edge" | "interior"
-    index: int   # vertex 0..3, edge 0..3 (bottom,right,top,left), 0 for interior
-    slot: int
-
-
 class ElementBasis:
     """Ordered DOF set with its dual nodal basis for one element family.
+
+    The DOFs follow the module's layout, so the vertex, edge and interior
+    blocks are index ranges fixed by ``edge_dof_count`` and ``dim``.
 
     Attributes
     ----------
     family, k : the element family and polynomial degree
     dofs : tuple of DofFunctional on [0,1]^2
     nodal : tuple of Poly2D with dofs[m](nodal[n]) = delta_mn
-    roles : per-DOF topological tags, aligned with ``dofs``
+    edge_dof_count, interior_dof_count : DOFs per edge and in the interior
     rcond : reciprocal condition number of the duality matrix
     """
 
-    def __init__(self, family, k, dofs, nodal, roles, rcond):
+    def __init__(self, family, k, dofs, nodal, edge_dof_count, rcond):
         self.family = family
         self.k = k
         self.dofs = tuple(dofs)
         self.nodal = tuple(nodal)
-        self.roles = tuple(roles)
+        self.edge_dof_count = edge_dof_count
+        self.interior_dof_count = len(self.dofs) - N_VERTEX_DOFS - 4 * edge_dof_count
         self.rcond = rcond
         self.deriv_orders = np.array([d.kind.total_order for d in self.dofs])
         self._tab_cache: dict[tuple[int, int], FloatArray] = {}
@@ -91,31 +97,16 @@ class ElementBasis:
     def dim(self) -> int:
         return len(self.dofs)
 
-    def vertex_dofs(self, vertex: int) -> list[int]:
-        return [n for n, r in enumerate(self.roles)
-                if r.entity == "vertex" and r.index == vertex]
+    def vertex_dofs(self, vertex: int) -> range:
+        n = len(VERTEX_KINDS)
+        return range(n * vertex, n * (vertex + 1))
 
-    def edge_dofs(self, edge: int) -> list[int]:
-        out = [(r.slot, n) for n, r in enumerate(self.roles)
-               if r.entity == "edge" and r.index == edge]
-        return [n for _, n in sorted(out)]
+    def edge_dofs(self, edge: int) -> range:
+        start = N_VERTEX_DOFS + edge * self.edge_dof_count
+        return range(start, start + self.edge_dof_count)
 
-    def interior_dofs(self) -> list[int]:
-        out = [(r.slot, n) for n, r in enumerate(self.roles) if r.entity == "interior"]
-        return [n for _, n in sorted(out)]
-
-    @property
-    def edge_dof_count(self) -> int:
-        return len(self.edge_dofs(0))
-
-    @property
-    def interior_dof_count(self) -> int:
-        return len(self.interior_dofs())
-
-    def edge_closure_dofs(self, edge: int) -> list[int]:
-        """Edge DOFs plus the vertex DOFs at the edge's two endpoints."""
-        va, vb = EDGE_VERTICES[edge]
-        return self.vertex_dofs(va) + self.vertex_dofs(vb) + self.edge_dofs(edge)
+    def interior_dofs(self) -> range:
+        return range(N_VERTEX_DOFS + 4 * self.edge_dof_count, self.dim)
 
     def _deriv_stack(self, order_x: int, order_y: int) -> FloatArray:
         key = (order_x, order_y)
@@ -136,34 +127,18 @@ class ElementBasis:
         return np.einsum("pi,nij,pj->pn", U, stack, V)
 
 
-def _enriched_dof_list(k: int) -> tuple[list[DofFunctional], list[DofRole]]:
-    dofs: list[DofFunctional] = []
-    roles: list[DofRole] = []
-    for v, pt in enumerate(VERTICES):
-        for slot, kind in enumerate(VERTEX_KINDS):
-            dofs.append(DofFunctional(kind, pt))
-            roles.append(DofRole("vertex", v, slot))
+def _dof_list(values, normals, interior) -> list[DofFunctional]:
+    """The shared layout (module docstring) for edge parameters ``values`` and
+    ``normals`` in (0, 1) and reference ``interior`` points."""
+    dofs = [DofFunctional(kind, pt) for pt in VERTICES for kind in VERTEX_KINDS]
     for e in range(4):
-        slot = 0
-        for i in range(1, k - 2):
-            dofs.append(DofFunctional(DofKind.VALUE, edge_point(e, i / (k - 2))))
-            roles.append(DofRole("edge", e, slot))
-            slot += 1
-        for i in range(1, k - 3):
-            dofs.append(DofFunctional(EDGE_NORMAL_KIND[e], edge_point(e, i / (k - 3))))
-            roles.append(DofRole("edge", e, slot))
-            slot += 1
-    slot = 0
-    for i in range(1, k - 6):
-        for j in range(1, i + 1):
-            dofs.append(DofFunctional(DofKind.VALUE, (i / (k - 2), j / (k - 2))))
-            roles.append(DofRole("interior", 0, slot))
-            slot += 1
-    return dofs, roles
+        dofs += [DofFunctional(DofKind.VALUE, edge_point(e, t)) for t in values]
+        dofs += [DofFunctional(EDGE_NORMAL_KIND[e], edge_point(e, t)) for t in normals]
+    return dofs + [DofFunctional(DofKind.VALUE, pt) for pt in interior]
 
 
-def enriched_dofs(k: int) -> tuple[list[DofFunctional], list[DofRole]]:
-    """DOF set of the enriched total-degree element, with topological tags.
+def enriched_dofs(k: int) -> list[DofFunctional]:
+    """DOF set of the enriched total-degree element.
 
     Per edge: k-3 interior values at i/(k-2) and k-4 normal-axis derivatives
     at i/(k-3); plus the 16 vertex DOFs; plus, for k > 7, interior values on
@@ -171,7 +146,10 @@ def enriched_dofs(k: int) -> tuple[list[DofFunctional], list[DofRole]]:
     """
     if k < 4:
         raise ValueError(f"degree must be at least 4, got {k}")
-    return _enriched_dof_list(k)
+    return _dof_list([i / (k - 2) for i in range(1, k - 2)],
+                     [i / (k - 3) for i in range(1, k - 3)],
+                     [(i / (k - 2), j / (k - 2))
+                      for i in range(1, k - 6) for j in range(1, i + 1)])
 
 
 def _pk_monomials(k: int) -> list[Poly2D]:
@@ -183,6 +161,11 @@ def _pk_monomials(k: int) -> list[Poly2D]:
     return out
 
 
+def _qk_monomials(k: int) -> list[Poly2D]:
+    """Tensor-product monomial basis x^i y^j, 0 <= i, j <= k, i major."""
+    return [Poly2D.monomial(i, j) for i in range(k + 1) for j in range(k + 1)]
+
+
 def enriched_space(k: int) -> list[Poly2D]:
     """Spanning set: total-degree monomials followed by the selected bubbles."""
     if k < 4:
@@ -191,41 +174,17 @@ def enriched_space(k: int) -> list[Poly2D]:
     return _pk_monomials(k) + [bb.bubble(lab) for lab in select_bubbles(k)]
 
 
-@lru_cache(maxsize=None)
-def enriched_nodal_basis(k: int) -> ElementBasis:
-    dofs, roles = enriched_dofs(k)
-    span = enriched_space(k)
+def _element(family: Family, k: int, dofs, span, edge_dof_count: int) -> ElementBasis:
     if len(dofs) != len(span):
         raise MismatchedCounts(f"{len(span)} span members vs {len(dofs)} DOFs")
     nodal, rcond = dual_nodal_basis(dofs, span)
-    return ElementBasis(Family.ENRICHED_P, k, dofs, nodal, roles, rcond)
+    return ElementBasis(family, k, dofs, nodal, edge_dof_count, rcond)
 
 
-def _bfs_dof_list(k: int) -> tuple[list[DofFunctional], list[DofRole]]:
-    interior = [i / (k - 2) for i in range(1, k - 2)]
-    dofs: list[DofFunctional] = []
-    roles: list[DofRole] = []
-    for v, pt in enumerate(VERTICES):
-        for slot, kind in enumerate(VERTEX_KINDS):
-            dofs.append(DofFunctional(kind, pt))
-            roles.append(DofRole("vertex", v, slot))
-    for e in range(4):
-        slot = 0
-        for t in interior:
-            dofs.append(DofFunctional(DofKind.VALUE, edge_point(e, t)))
-            roles.append(DofRole("edge", e, slot))
-            slot += 1
-        for t in interior:
-            dofs.append(DofFunctional(EDGE_NORMAL_KIND[e], edge_point(e, t)))
-            roles.append(DofRole("edge", e, slot))
-            slot += 1
-    slot = 0
-    for tj in interior:
-        for ti in interior:
-            dofs.append(DofFunctional(DofKind.VALUE, (ti, tj)))
-            roles.append(DofRole("interior", 0, slot))
-            slot += 1
-    return dofs, roles
+@lru_cache(maxsize=None)
+def enriched_nodal_basis(k: int) -> ElementBasis:
+    return _element(Family.ENRICHED_P, k, enriched_dofs(k), enriched_space(k),
+                    edge_dof_count=2 * k - 7)
 
 
 @lru_cache(maxsize=None)
@@ -238,12 +197,9 @@ def bfs_element(k: int) -> ElementBasis:
     """
     if k < 4:
         raise ValueError(f"degree must be at least 4, got {k}")
-    dofs, roles = _bfs_dof_list(k)
-    span = [Poly2D.monomial(i, j) for i in range(k + 1) for j in range(k + 1)]
-    if len(dofs) != len(span):
-        raise MismatchedCounts(f"{len(span)} span members vs {len(dofs)} DOFs")
-    nodal, rcond = dual_nodal_basis(dofs, span)
-    return ElementBasis(Family.BFS_Q, k, dofs, nodal, roles, rcond)
+    t = [i / (k - 2) for i in range(1, k - 2)]
+    dofs = _dof_list(t, t, [(ti, tj) for tj in t for ti in t])
+    return _element(Family.BFS_Q, k, dofs, _qk_monomials(k), edge_dof_count=2 * (k - 3))
 
 
 def element_basis(family: Family, k: int) -> ElementBasis:
@@ -261,15 +217,10 @@ class UnisolvencyReport:
 
 
 def unisolvency_report(family: Family, k: int) -> UnisolvencyReport:
-    """Independently recount space dimension and DOFs; they must agree."""
+    """Recount the space dimension against the element's DOFs; they must agree."""
     family = Family(family)
-    if family is Family.ENRICHED_P:
-        dim = len(enriched_space(k))
-        n_dof = len(enriched_dofs(k)[0])
-    else:
-        dim = (k + 1) ** 2
-        n_dof = len(_bfs_dof_list(k)[0])
-    if dim != n_dof:
-        raise MismatchedCounts(f"dim {dim} != n_dof {n_dof} for {family.value} k={k}")
-    return UnisolvencyReport(dim=dim, n_dof=n_dof, rcond=element_basis(family, k).rcond)
-
+    basis = element_basis(family, k)
+    dim = len(enriched_space(k)) if family is Family.ENRICHED_P else (k + 1) ** 2
+    if dim != basis.dim:
+        raise MismatchedCounts(f"dim {dim} != n_dof {basis.dim} for {family.value} k={k}")
+    return UnisolvencyReport(dim=dim, n_dof=basis.dim, rcond=basis.rcond)

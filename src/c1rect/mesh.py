@@ -2,13 +2,13 @@
 
 Numbering: elements, vertices and edges are lexicographic by (y, x) of their
 lower-left corner or origin, so every id is closed-form in the element index
-(i, j).  Global DOFs are the vertex DOFs first (4 per vertex), then
-horizontal-edge DOFs, then vertical-edge DOFs, then element-interior DOFs,
-each block ordered by entity id and then by slot.  Shared entities use the
-same slot order from both adjacent elements because edge DOFs are enumerated
-by increasing global coordinate, so the map is orientation-free on
-axis-aligned meshes.  The h-scaling of DOF values is the business of
-``assembly``.
+(i, j).  Global DOFs are the vertex DOFs first, then horizontal-edge DOFs,
+then vertical-edge DOFs, then element-interior DOFs, each block ordered by
+entity id and then by slot, the DOF's place within its entity in the local
+layout (``elements`` module docstring).  Shared entities use the same slot
+order from both adjacent elements because that layout enumerates edge DOFs by
+increasing coordinate, so the map is orientation-free on axis-aligned meshes.
+The h-scaling of DOF values is the business of ``assembly``.
 """
 
 from __future__ import annotations
@@ -17,10 +17,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .elements import ElementBasis
-from .poly2d import DofKind, FloatArray
-
-KIND_ORDER = (DofKind.VALUE, DofKind.DX, DofKind.DY, DofKind.DXY)
+from .elements import VERTEX_KINDS, ElementBasis
+from .poly2d import FloatArray
 
 # entity codes for DofMap.entity_kind
 VERTEX, H_EDGE, V_EDGE, INTERIOR = 0, 1, 2, 3
@@ -104,9 +102,9 @@ def build_mesh(level: int) -> RectMesh:
 class DofMap:
     """Global DOF numbering for one (mesh, element) pair.
 
-    points/kind_code record each global DOF's physical functional so nodal
-    interpolation never needs to revisit elements; deriv_order carries the
-    h-scaling exponent (0 value, 1 first derivative, 2 mixed).
+    points/kind_code record each global DOF's physical functional (kind_code
+    indexes ``elements.VERTEX_KINDS``) so nodal interpolation never needs to
+    revisit elements.
     """
 
     total: int
@@ -116,7 +114,6 @@ class DofMap:
     entity_id: np.ndarray
     kind_code: np.ndarray
     points: FloatArray
-    deriv_order: np.ndarray
 
     @property
     def n_free(self) -> int:
@@ -130,26 +127,29 @@ def build_dof_map(mesh: RectMesh, basis: ElementBasis) -> DofMap:
     at once from the closed-form entity ids.  A global DOF's point is
     computed in the first element (in element order) that touches it.
     """
+    nv = len(basis.vertex_dofs(0))
     ne = basis.edge_dof_count
     ni = basis.interior_dof_count
-    h_base = 4 * mesh.n_vertices
+    h_base = nv * mesh.n_vertices
     v_base = h_base + ne * mesh.n_h_edges
     i_base = v_base + ne * mesh.n_v_edges
     total = i_base + ni * mesh.n_elements
 
-    for v in range(4):
-        if len(basis.vertex_dofs(v)) != 4:
-            raise ValueError("element must carry exactly 4 DOFs per vertex")
-
     elems = np.arange(mesh.n_elements)
     i, j = mesh.element_index(elems)
-    # local corner order (0,0), (1,0), (1,1), (0,1); edges bottom, right, top, left
+    # per local entity (corners (0,0), (1,0), (1,1), (0,1), then edges bottom,
+    # right, top, left, then the interior): its entity code, its global ids
+    # per element, the global number of its first DOF and its local DOFs
     verts = (mesh.vertex_id(i, j), mesh.vertex_id(i + 1, j),
              mesh.vertex_id(i + 1, j + 1), mesh.vertex_id(i, j + 1))
     edges = ((H_EDGE, h_base, mesh.h_edge_id(i, j)),
              (V_EDGE, v_base, mesh.v_edge_id(i + 1, j)),
              (H_EDGE, h_base, mesh.h_edge_id(i, j + 1)),
              (V_EDGE, v_base, mesh.v_edge_id(i, j)))
+    blocks = [(VERTEX, ids, nv * ids, basis.vertex_dofs(v)) for v, ids in enumerate(verts)]
+    blocks += [(kind, ids, base + ne * ids, basis.edge_dofs(e))
+               for e, (kind, base, ids) in enumerate(edges)]
+    blocks.append((INTERIOR, elems, i_base + ni * elems, basis.interior_dofs()))
     x0, y0 = mesh.element_corner(elems)
 
     l2g = np.empty((mesh.n_elements, basis.dim), dtype=np.int64)
@@ -157,30 +157,22 @@ def build_dof_map(mesh: RectMesh, basis: ElementBasis) -> DofMap:
     entity_id = np.empty(total, dtype=np.int64)
     kind_code = np.empty(total, dtype=np.int8)
     points = np.empty((total, 2))
-    deriv_order = np.empty(total, dtype=np.int8)
     owner = np.full(total, mesh.n_elements)  # first element to touch each DOF
 
-    for n, (dof, role) in enumerate(zip(basis.dofs, basis.roles)):
-        if role.entity == "vertex":
-            kind, ids = VERTEX, verts[role.index]
-            g = 4 * ids + role.slot
-        elif role.entity == "edge":
-            kind, base, ids = edges[role.index]
-            g = base + ne * ids + role.slot
-        else:
-            kind, ids = INTERIOR, elems
-            g = i_base + ni * elems + role.slot
-        l2g[:, n] = g
-        entity_kind[g] = kind
-        entity_id[g] = ids
-        kind_code[g] = KIND_ORDER.index(dof.kind)
-        deriv_order[g] = dof.kind.total_order
-        # g has no repeats within a column: distinct elements own distinct
-        # entities of one local slot
-        first = elems < owner[g]
-        owner[g[first]] = elems[first]
-        points[g[first], 0] = x0[first] + mesh.h * dof.point[0]
-        points[g[first], 1] = y0[first] + mesh.h * dof.point[1]
+    for kind, ids, first_dof, local in blocks:
+        for slot, n in enumerate(local):
+            dof = basis.dofs[n]
+            g = first_dof + slot
+            l2g[:, n] = g
+            entity_kind[g] = kind
+            entity_id[g] = ids
+            kind_code[g] = VERTEX_KINDS.index(dof.kind)
+            # g has no repeats within a column: distinct elements own distinct
+            # entities of one local slot
+            first = elems < owner[g]
+            owner[g[first]] = elems[first]
+            points[g[first], 0] = x0[first] + mesh.h * dof.point[0]
+            points[g[first], 1] = y0[first] + mesh.h * dof.point[1]
 
     assert (owner < mesh.n_elements).all(), \
         "every global DOF must be touched by some element"
@@ -192,7 +184,6 @@ def build_dof_map(mesh: RectMesh, basis: ElementBasis) -> DofMap:
         entity_id=entity_id,
         kind_code=kind_code,
         points=points,
-        deriv_order=deriv_order,
     )
 
 

@@ -22,9 +22,6 @@ import numpy.typing as npt
 
 FloatArray = npt.NDArray[np.float64]
 
-#: tolerance for coefficient-wise polynomial identity checks
-COEFF_TOL = 1e-12
-
 
 def _shift_to_normalized(n: int) -> FloatArray:
     """Matrix S with x^i = sum_m S[m, i] u^m for u = 2x - 1."""
@@ -140,9 +137,6 @@ class Poly2D:
         ky = max(self.coeffs.shape[1], other.coeffs.shape[1]) - 1
         return float(np.max(np.abs(self.padded(kx, ky) - other.padded(kx, ky))))
 
-    def coeffs_close(self, other: "Poly2D", tol: float = COEFF_TOL) -> bool:
-        return self.max_coeff_diff(other) <= tol
-
     # -- evaluation and calculus ---------------------------------------
 
     def __call__(self, x: npt.ArrayLike, y: npt.ArrayLike):
@@ -154,9 +148,6 @@ class Poly2D:
     def derivative(self, order_x: int = 0, order_y: int = 0) -> "Poly2D":
         """Exact partial derivative; lowers each bidegree component, floor 0."""
         return Poly2D(_differentiate(self.coeffs, order_x, order_y))
-
-    def laplacian(self) -> "Poly2D":
-        return self.derivative(2, 0) + self.derivative(0, 2)
 
     # -- arithmetic -----------------------------------------------------
 

@@ -21,7 +21,8 @@ import numpy as np
 
 from . import assembly
 from .assembly import QuadratureRule, SolveResult, gauss_rule
-from .elements import ElementBasis, Family, element_basis, unisolvency_report
+from .elements import (ElementBasis, Family, _pk_monomials, _qk_monomials,
+                       element_basis, unisolvency_report)
 from .mesh import DofMap, RectMesh, build_dof_map, build_mesh, clamped_flags
 from .poly2d import FloatArray, functional_matrix
 
@@ -331,14 +332,8 @@ def _duality_residual(basis: ElementBasis) -> float:
 def _space_reproduction(basis: ElementBasis, rng: np.random.Generator) -> float:
     """Relative coefficient error of interpolating a random member of the
     element's polynomial space (total-degree or tensor, by family)."""
-    from .elements import _pk_monomials
-    from .poly2d import Poly2D
-
-    if basis.family is Family.ENRICHED_P:
-        monos = _pk_monomials(basis.k)
-    else:
-        monos = [Poly2D.monomial(i, j)
-                 for i in range(basis.k + 1) for j in range(basis.k + 1)]
+    span = _pk_monomials if basis.family is Family.ENRICHED_P else _qk_monomials
+    monos = span(basis.k)
     coeffs = rng.uniform(-1.0, 1.0, size=len(monos))
     p = monos[0] * coeffs[0]
     for a, m in zip(coeffs[1:], monos[1:]):

@@ -97,3 +97,31 @@ def test_study_rejects_nonpositive_tolerance(capsys):
     err = _parse_error(["study", "--family", "p-enriched", "--k", "4",
                         "--tol", "-1"], capsys)
     assert "--tol: must be positive, got -1" in err
+
+
+@pytest.mark.parametrize("command", [
+    ["study", "--family", "q-bfs", "--k", "4", "--levels", "2"],
+    ["verify", "--family", "q-bfs", "--k", "4"],
+])
+def test_out_in_missing_directory_rejected_before_work(command, tmp_path, capsys):
+    target = tmp_path / "missing" / "x.json"
+    err = _parse_error(command + ["--out", str(target)], capsys)
+    assert "--out: directory" in err and "does not exist" in err
+    assert "Traceback" not in err
+    assert not target.parent.exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["study", "--family", "q-bfs", "--k", "4", "--levels", "1"],
+    ["verify", "--family", "q-bfs", "--k", "4", "--level", "1"],
+])
+def test_unwritable_out_exits_2(command, tmp_path, capsys):
+    # the directory exists, but the path names a directory, not a file
+    target = tmp_path / "report"
+    target.mkdir()
+    code = main(command + ["--out", str(target)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith(f"c1rect: cannot write {target}: ")
+    assert len(captured.err.splitlines()) == 1 and "Traceback" not in captured.err
+    assert list(target.iterdir()) == []

@@ -3,6 +3,7 @@ import pytest
 
 from c1rect.elements import (
     EDGE_VERTICES,
+    VERTICES,
     Family,
     bfs_element,
     edge_point,
@@ -21,32 +22,42 @@ ENRICHED_DIMS = {4: 20, 5: 28, 6: 36, 7: 44, 8: 53}
 
 
 def test_enriched_dof_counts(degree):
-    dofs, roles = enriched_dofs(degree)
-    assert len(dofs) == ENRICHED_DIMS[degree]
-    assert len(roles) == len(dofs)
+    assert len(enriched_dofs(degree)) == ENRICHED_DIMS[degree]
 
 
 def test_enriched_dof_count_k8_formula():
     # 16 vertex + 4*(2k-7) edge + (k-7)(k-6)/2 interior at k = 8
-    assert len(enriched_dofs(8)[0]) == 16 + 4 * (2 * 8 - 7) + 1 == 53
+    assert len(enriched_dofs(8)) == 16 + 4 * (2 * 8 - 7) + 1 == 53
 
 
 def test_vertex_blocks(degree):
-    eb = element_basis(Family.ENRICHED_P, degree)
-    for v in range(4):
-        block = eb.vertex_dofs(v)
-        assert len(block) == 4
-        kinds = [eb.dofs[n].kind for n in block]
-        assert kinds == [DofKind.VALUE, DofKind.DX, DofKind.DY, DofKind.DXY]
+    for family in (Family.ENRICHED_P, Family.BFS_Q):
+        eb = element_basis(family, degree)
+        for v in range(4):
+            block = eb.vertex_dofs(v)
+            assert len(block) == 4
+            kinds = [eb.dofs[n].kind for n in block]
+            assert kinds == [DofKind.VALUE, DofKind.DX, DofKind.DY, DofKind.DXY]
+            assert all(eb.dofs[n].point == VERTICES[v] for n in block)
 
 
 def test_edges_carry_normal_axis_derivatives(degree):
+    # per edge: values, then normal-axis derivatives, each block at points
+    # strictly between the endpoints by increasing coordinate along the edge
     for family in (Family.ENRICHED_P, Family.BFS_Q):
         eb = element_basis(family, degree)
         for edge, normal in ((0, DofKind.DY), (1, DofKind.DX),
                              (2, DofKind.DY), (3, DofKind.DX)):
-            kinds = {eb.dofs[n].kind for n in eb.edge_dofs(edge)}
-            assert kinds <= {DofKind.VALUE, normal}
+            dofs = [eb.dofs[n] for n in eb.edge_dofs(edge)]
+            kinds = [d.kind for d in dofs]
+            n_values = kinds.count(DofKind.VALUE)
+            assert kinds == [DofKind.VALUE] * n_values + [normal] * (len(dofs) - n_values)
+            pa, pb = (np.array(VERTICES[v]) for v in EDGE_VERTICES[edge])
+            for block in (dofs[:n_values], dofs[n_values:]):
+                pts = np.array([d.point for d in block]).reshape(-1, 2)
+                t = (pts - pa) @ (pb - pa)
+                assert np.array_equal(pts, pa + t[:, None] * (pb - pa))
+                assert np.all(t > 0) and np.all(t < 1) and np.all(np.diff(t) > 0)
 
 
 def test_enriched_space_counts():
@@ -57,7 +68,7 @@ def test_enriched_space_counts():
 def test_enriched_space_has_full_rank(degree):
     # rank oracle: functionals applied to the spanning set
     span = enriched_space(degree)
-    dofs, _ = enriched_dofs(degree)
+    dofs = enriched_dofs(degree)
     V = np.array([[dof(p) for p in span] for dof in dofs])
     assert V.shape[0] == V.shape[1]
     assert np.linalg.matrix_rank(V) == len(span)
@@ -139,7 +150,8 @@ def test_trace_determinacy(degree):
     for family in (Family.ENRICHED_P, Family.BFS_Q):
         eb = element_basis(family, degree)
         for edge in range(4):
-            closure = set(eb.edge_closure_dofs(edge))
+            va, vb = EDGE_VERTICES[edge]
+            closure = {*eb.vertex_dofs(va), *eb.vertex_dofs(vb), *eb.edge_dofs(edge)}
             pts = np.array([edge_point(edge, t) for t in ts])
             for n in range(eb.dim):
                 if n in closure:
@@ -240,7 +252,6 @@ def test_physical_second_derivative_scaling(rng):
 
 def test_edge_point_covers_vertices():
     for edge, (va, vb) in enumerate(EDGE_VERTICES):
-        from c1rect.elements import VERTICES
         assert edge_point(edge, 0.0) == VERTICES[va]
         assert edge_point(edge, 1.0) == VERTICES[vb]
 
@@ -253,3 +264,10 @@ def test_interior_dofs():
     dof = element_basis(Family.ENRICHED_P, 8).dofs[
         element_basis(Family.ENRICHED_P, 8).interior_dofs()[0]]
     assert dof.point == (1 / 6, 1 / 6)
+    for family in (Family.ENRICHED_P, Family.BFS_Q):
+        for k in range(4, 9):
+            eb = element_basis(family, k)
+            assert len(eb.interior_dofs()) == eb.interior_dof_count
+            for n in eb.interior_dofs():
+                x, y = eb.dofs[n].point
+                assert eb.dofs[n].kind is DofKind.VALUE and 0 < x < 1 and 0 < y < 1

@@ -139,6 +139,6 @@ def test_interpolation_points_recorded():
     mesh = build_mesh(2)
     eb = element_basis(Family.BFS_Q, 5)
     dm = build_dof_map(mesh, eb)
-    # every recorded point lies in the unit square and derivative orders match
+    # every recorded point lies in the unit square and every DOF kind occurs
     assert np.all(dm.points >= -1e-12) and np.all(dm.points <= 1 + 1e-12)
-    assert set(np.unique(dm.deriv_order)) <= {0, 1, 2}
+    assert set(np.unique(dm.kind_code)) == {0, 1, 2, 3}
