@@ -1,5 +1,6 @@
-"""Print digests of element data, DOF maps and level-3 systems, to check that a
-change leaves them bit-identical.
+"""Print digests of element data, DOF maps and level-3 systems, and the study
+rows of the benchmark's cases, to check that a change leaves them
+bit-identical.
 
 Run it on two checkouts and compare the outputs:
 
@@ -15,9 +16,9 @@ import hashlib
 
 import numpy as np
 
-from c1rect import (Family, assemble, bell_nodal_basis, build_dof_map,
-                    build_mesh, clamped_flags, element_basis, exact_solution,
-                    verify)
+from c1rect import (Family, StudyConfig, assemble, bell_nodal_basis,
+                    build_dof_map, build_mesh, clamped_flags, element_basis,
+                    exact_solution, run_study, verify)
 from c1rect.poly2d import stack_coeffs
 
 DOF_MAP_FIELDS = ("local_to_global", "is_boundary", "entity_kind", "entity_id",
@@ -57,3 +58,12 @@ for family in Family:
                 m = system.matrix
                 print("  level 3 system", digest(m.indptr, m.indices, m.data, system.rhs))
         print("  verify", [(c.name, repr(c.value)) for c in verify(family, k, 3)])
+
+# p-enriched k=4, 5 to level 6 and both families k=6..8 to level 4
+STUDIES = [(Family.ENRICHED_P, k, 6) for k in (4, 5)]
+STUDIES += [(family, k, 4) for family in Family for k in (6, 7, 8)]
+for family, k, levels in STUDIES:
+    report = run_study(StudyConfig(family=family, k=k, max_level=levels))
+    for row, meta in zip(report.rows, report.meta["levels"]):
+        print(f"study {family.value} k={k} level {row.level}", repr(row.l2_err),
+              repr(row.h2_err), repr(meta["residual"]), meta["fill"], meta["iterations"])

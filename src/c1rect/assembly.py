@@ -14,6 +14,7 @@ evaluation are array operations over (element, local DOF).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -51,10 +52,12 @@ class QuadratureRule:
     points: FloatArray   # (m*m, 2)
     weights: FloatArray  # (m*m,)
     points_per_axis: int
+    nodes: FloatArray    # (m,); point a*m + b is (nodes[a], nodes[b])
 
 
+@lru_cache(maxsize=None)
 def gauss_rule(m: int) -> QuadratureRule:
-    """m-point-per-direction tensor rule, exact on Q_(2m-1)."""
+    """m-point-per-direction tensor rule, exact on Q_(2m-1); shared, read-only."""
     if not 1 <= m <= 32:
         raise ValueError("points per direction must be in 1..32")
     nodes, weights = np.polynomial.legendre.leggauss(m)
@@ -62,11 +65,10 @@ def gauss_rule(m: int) -> QuadratureRule:
     w = 0.5 * weights
     X, Y = np.meshgrid(x, x, indexing="ij")
     WX, WY = np.meshgrid(w, w, indexing="ij")
-    return QuadratureRule(
-        points=np.column_stack([X.ravel(), Y.ravel()]),
-        weights=(WX * WY).ravel(),
-        points_per_axis=m,
-    )
+    rule = QuadratureRule(np.column_stack([X.ravel(), Y.ravel()]), (WX * WY).ravel(), m, x)
+    for a in (rule.points, rule.weights, rule.nodes):
+        a.setflags(write=False)
+    return rule
 
 
 @dataclass(eq=False)
@@ -87,14 +89,41 @@ class LinearSystem:
         return len(self.free_dofs)
 
 
-def default_stiffness_rule(k: int) -> QuadratureRule:
-    """k+1 points per direction: exact for the bidegree <= 2k integrand."""
-    return gauss_rule(k + 1)
+@dataclass(frozen=True, eq=False)
+class ReferenceTable:
+    """Level-invariant data of one element basis on [0,1]^2."""
+
+    stiff: FloatArray     # (dim, dim) stiffness of (lap u, lap v)
+    quad: QuadratureRule  # the rule of the load and the error norms
+    tab: dict[tuple[int, int], FloatArray]  # (deriv_x, deriv_y) -> (npts, dim) on quad
 
 
-def default_load_rule(k: int) -> QuadratureRule:
-    """k+6 points per direction, enough for the trigonometric data."""
-    return gauss_rule(k + 6)
+@lru_cache(maxsize=None)
+def reference_table(basis: ElementBasis) -> ReferenceTable:
+    """Built once per basis (the bases themselves are cached singletons).
+
+    k+1 Gauss points per direction integrate the bidegree <= 2k stiffness
+    exactly; k+6 are enough for the trigonometric data.
+    """
+    qs, ql = gauss_rule(basis.k + 1), gauss_rule(basis.k + 6)
+    lap = basis.tabulate(qs.points, (2, 0)) + basis.tabulate(qs.points, (0, 2))
+    table = ReferenceTable(stiff=(lap * qs.weights[:, None]).T @ lap, quad=ql, tab={
+        d: basis.tabulate(ql.points, d) for d in ((0, 0), (2, 0), (1, 1), (0, 2))})
+    for a in (table.stiff, *table.tab.values()):
+        a.setflags(write=False)
+    return table
+
+
+def on_quadrature_grid(fn: Callable, mesh: RectMesh, rule: QuadratureRule) -> FloatArray:
+    """``fn`` at ``rule``'s points on every element: (n_elements, npts).
+
+    ``fn`` gets broadcastable (j, i, a, b) coordinates of element e = j n + i
+    and point p = a m + b: x varies with (i, a) and y with (j, b) only, so a
+    separable factor is evaluated n m times, not n^2 m^2."""
+    n, m = mesh.n, rule.points_per_axis
+    g = np.arange(n)[:, None] * mesh.h + mesh.h * rule.nodes
+    vals = np.asarray(fn(g[None, :, :, None], g[:, None, None, :]), dtype=float)
+    return np.broadcast_to(vals, (n, n, m, m)).reshape(n * n, m * m)
 
 
 def assemble(
@@ -102,28 +131,21 @@ def assemble(
     dof_map: DofMap,
     basis: ElementBasis,
     f: Callable[[FloatArray, FloatArray], FloatArray],
-    quad_stiff: QuadratureRule | None = None,
-    quad_load: QuadratureRule | None = None,
 ) -> LinearSystem:
     """Assemble the clamped Galerkin system for lap^2 u = f.
 
-    ``f`` must accept numpy arrays.  Constrained rows and columns are
-    eliminated (homogeneous data, so no right-hand-side correction).
+    ``f`` must accept broadcastable arrays (:func:`on_quadrature_grid`).
+    Constrained rows and columns are eliminated (homogeneous data, so no
+    right-hand-side correction).
     """
     if dof_map.local_to_global.shape[1] != basis.dim:
         raise DimensionMismatch(
             f"map has {dof_map.local_to_global.shape[1]} local slots, "
             f"element has {basis.dim}")
-    qs = quad_stiff if quad_stiff is not None else default_stiffness_rule(basis.k)
-    ql = quad_load if quad_load is not None else default_load_rule(basis.k)
+    table = reference_table(basis)
     h = mesh.h
-
-    lap = basis.tabulate(qs.points, (2, 0)) + basis.tabulate(qs.points, (0, 2))
-    ref_stiff = (lap * qs.weights[:, None]).T @ lap
     scale = h ** basis.deriv_orders.astype(float)
-    elem_stiff = ref_stiff * np.outer(scale, scale) / h**2
-
-    load_vals = basis.tabulate(ql.points, (0, 0))
+    elem_stiff = table.stiff * np.outer(scale, scale) / h**2
     load_scale = scale * h**2
 
     free_index = -np.ones(dof_map.total, dtype=np.int64)
@@ -140,10 +162,8 @@ def assemble(
     cols = np.broadcast_to(fslots[:, None, :], shape)[pairs]
     vals = np.broadcast_to(elem_stiff, shape)[pairs]
 
-    x0, y0 = mesh.element_corner(np.arange(mesh.n_elements))
-    fq = np.asarray(f(x0[:, None] + h * ql.points[:, 0],
-                      y0[:, None] + h * ql.points[:, 1]), dtype=float)
-    load = load_scale * ((fq * ql.weights) @ load_vals)
+    fq = on_quadrature_grid(f, mesh, table.quad)
+    load = load_scale * ((fq * table.quad.weights) @ table.tab[(0, 0)])
     rhs = np.bincount(fslots[keep], weights=load[keep], minlength=len(free_dofs))
 
     n = len(free_dofs)
@@ -190,8 +210,10 @@ def _direct_solver(system: LinearSystem) -> tuple[Callable[[FloatArray], tuple[F
     only if the matrix is SPD, up to roundoff.
     """
     from scipy.sparse.linalg import splu  # here: 9 MB, 0.1 s that verify and CG never use
-    s = 1.0 / np.sqrt(_positive_diagonal(system.matrix))
-    scaled = system.matrix.multiply(s[:, None]).multiply(s).tocsc()
+    A = system.matrix
+    s = 1.0 / np.sqrt(_positive_diagonal(A))
+    data = A.data * np.repeat(s, np.diff(A.indptr)) * s[A.indices]
+    scaled = scipy.sparse.csr_matrix((data, A.indices, A.indptr), shape=A.shape).tocsc()
     try:
         lu = splu(scaled, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                   options={"SymmetricMode": True})
@@ -354,14 +376,15 @@ def evaluate_on_elements(
     dof_map: DofMap,
     basis: ElementBasis,
     coeffs: FloatArray,
-    ref_points: FloatArray,
+    ref_points: FloatArray | None,
     deriv: tuple[int, int] = (0, 0),
     elements: np.ndarray | None = None,
 ) -> FloatArray:
     """(deriv_x, deriv_y) derivative of the finite element function given by
     global physical DOF values, at reference points shared by every element.
 
-    ref_points: (npts, 2) coordinates on [0,1]^2.  Returns (n_elements, npts),
+    ref_points: (npts, 2) coordinates on [0,1]^2, or None for the cached
+    tabulation on :func:`reference_table`'s rule.  Returns (n_elements, npts),
     or one row per entry of ``elements``.
     """
     h = mesh.h
@@ -370,7 +393,8 @@ def evaluate_on_elements(
         l2g = l2g[elements]
     # physical nodal n = h^o_n * reference nodal n; each derivative divides by h
     scale = h ** (basis.deriv_orders - deriv[0] - deriv[1]).astype(float)
-    vals = basis.tabulate(ref_points, deriv) * scale
+    vals = (reference_table(basis).tab[deriv] if ref_points is None
+            else basis.tabulate(ref_points, deriv)) * scale
     return np.asarray(coeffs, dtype=float)[l2g] @ vals.T
 
 

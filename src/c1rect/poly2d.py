@@ -140,10 +140,10 @@ class Poly2D:
     # -- evaluation and calculus ---------------------------------------
 
     def __call__(self, x: npt.ArrayLike, y: npt.ArrayLike):
-        """Evaluate by nested Horner recurrences; broadcasts over arrays."""
+        """Horner in u, then in v, as ``npoly.polyval2d``; broadcasts over arrays."""
         u = 2.0 * np.asarray(x, dtype=float) - 1.0
         v = 2.0 * np.asarray(y, dtype=float) - 1.0
-        return npoly.polyval2d(u, v, self.coeffs)
+        return npoly.polyval(v, npoly.polyval(u, self.coeffs), tensor=False)
 
     def derivative(self, order_x: int = 0, order_y: int = 0) -> "Poly2D":
         """Exact partial derivative; lowers each bidegree component, floor 0."""

@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from . import assembly
-from .assembly import QuadratureRule, SolveResult, gauss_rule
+from .assembly import gauss_rule
 from .elements import (ElementBasis, Family, _pk_monomials, _qk_monomials,
                        element_basis, unisolvency_report)
 from .mesh import DofMap, RectMesh, build_dof_map, build_mesh, clamped_flags
@@ -91,22 +91,17 @@ def error_norms(
     basis: ElementBasis,
     coeffs: FloatArray,
     exact: ExactSolution,
-    quad: QuadratureRule | None = None,
 ) -> tuple[float, float]:
-    """(L2, H2-seminorm) errors of the FE function against the exact solution.
-
-    The H2 seminorm weights the mixed second derivative twice:
-    |e|_2^2 = int e_xx^2 + 2 e_xy^2 + e_yy^2.
+    """(L2, H2-seminorm) errors of the FE function against the exact solution,
+    on the rule of :func:`assembly.reference_table`.  The H2 seminorm weights
+    the mixed second derivative twice: |e|_2^2 = int e_xx^2 + 2 e_xy^2 + e_yy^2.
     """
-    q = quad if quad is not None else assembly.default_load_rule(basis.k)
+    q = assembly.reference_table(basis).quad
     h = mesh.h
-    x0, y0 = mesh.element_corner(np.arange(mesh.n_elements))
-    xs = x0[:, None] + h * q.points[:, 0]
-    ys = y0[:, None] + h * q.points[:, 1]
 
     def error(exact_fn, deriv):
-        return exact_fn(xs, ys) - assembly.evaluate_on_elements(
-            mesh, dof_map, basis, coeffs, q.points, deriv)
+        return assembly.on_quadrature_grid(exact_fn, mesh, q) - \
+            assembly.evaluate_on_elements(mesh, dof_map, basis, coeffs, None, deriv)
 
     e00 = error(exact.u, (0, 0))
     e20 = error(exact.uxx, (2, 0))

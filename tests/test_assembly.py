@@ -14,7 +14,7 @@ from c1rect.assembly import (
     solve,
 )
 from c1rect.elements import Family, element_basis
-from c1rect.mesh import build_dof_map, build_mesh, clamped_flags
+from c1rect.mesh import RectMesh, build_dof_map, build_mesh, clamped_flags
 from c1rect.poly2d import Poly2D
 from c1rect.study import exact_solution, interpolate
 
@@ -53,6 +53,33 @@ def test_gauss_rule_bounds():
         gauss_rule(0)
     with pytest.raises(ValueError):
         gauss_rule(33)
+
+
+def test_gauss_rule_is_shared_and_read_only():
+    rule = gauss_rule(7)
+    assert gauss_rule(7) is rule
+    for a in (rule.points, rule.weights, rule.nodes):
+        with pytest.raises(ValueError):
+            a[0] = 0.0
+
+
+@pytest.mark.parametrize("family,k", [(Family.ENRICHED_P, 5), (Family.BFS_Q, 6)])
+def test_tensor_grid_load_matches_per_element_points(family, k):
+    # reference: each element's corner plus h times the rule's points; with
+    # n = 6, h is inexact, so a reordered sum would show
+    f = exact_solution().f
+    mesh = RectMesh(6)
+    rule = assembly.reference_table(element_basis(family, k)).quad
+    x0, y0 = mesh.element_corner(np.arange(mesh.n_elements))
+    old = f(x0[:, None] + mesh.h * rule.points[:, 0],
+            y0[:, None] + mesh.h * rule.points[:, 1])
+    assert np.array_equal(assembly.on_quadrature_grid(f, mesh, rule), old)
+
+
+def test_tensor_grid_broadcasts_constant_data():
+    mesh = build_mesh(3)
+    vals = assembly.on_quadrature_grid(lambda x, y: 2.0, mesh, gauss_rule(3))
+    assert vals.shape == (16, 9) and np.all(vals == 2.0)
 
 
 def _system(family, k, level, f):
@@ -95,8 +122,8 @@ def test_stiffness_symmetry_and_definiteness():
 
 def _loop_assemble(mesh, dm, eb, f):
     """Per-element loop assembly: the reference for the array pipeline."""
-    qs = assembly.default_stiffness_rule(eb.k)
-    ql = assembly.default_load_rule(eb.k)
+    qs = gauss_rule(eb.k + 1)
+    ql = gauss_rule(eb.k + 6)
     h = mesh.h
     lap = eb.tabulate(qs.points, (2, 0)) + eb.tabulate(qs.points, (0, 2))
     ref_stiff = (lap * qs.weights[:, None]).T @ lap
@@ -134,6 +161,35 @@ def test_assembly_matches_element_loop(family, k):
     assert np.array_equal(system.matrix.indices, matrix.indices)
     assert np.array_equal(system.matrix.data, matrix.data)
     assert np.max(np.abs(system.rhs - rhs)) <= 1e-14 * np.max(np.abs(rhs))
+
+
+def test_equilibration_matches_broadcast_multiply(monkeypatch):
+    import scipy.sparse.linalg
+    splu, seen = scipy.sparse.linalg.splu, []
+    monkeypatch.setattr(scipy.sparse.linalg, "splu",
+                        lambda A, **kw: seen.append(A) or splu(A, **kw))
+    for family, k in ((Family.ENRICHED_P, 4), (Family.BFS_Q, 7)):
+        _, _, _, system = _system(family, k, 4, exact_solution().f)
+        solve(system)
+        A = system.matrix
+        s = 1.0 / np.sqrt(A.diagonal())
+        old = A.multiply(s[:, None]).multiply(s).tocsc()
+        new = seen.pop()
+        assert new.format == "csc"
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(new, name), getattr(old, name))
+
+
+def test_evaluate_solution_caches_nothing(rng):
+    eb = element_basis(Family.ENRICHED_P, 5)
+    mesh = build_mesh(3)
+    dm = build_dof_map(mesh, eb)
+    coeffs = rng.standard_normal(dm.total)
+    assembly.reference_table(eb)
+    sizes = (assembly.reference_table.cache_info().currsize, len(eb._tab_cache))
+    for x, y in rng.uniform(0, 1, size=(100, 2)):
+        evaluate_solution(mesh, dm, eb, coeffs, x, y, deriv=(1, 1))
+    assert (assembly.reference_table.cache_info().currsize, len(eb._tab_cache)) == sizes
 
 
 def _poly_patch_data():

@@ -51,6 +51,17 @@ def test_eval_broadcasts_over_arrays(rng):
         assert v == pytest.approx(naive_eval(c, x, y), rel=1e-13, abs=1e-14)
 
 
+def test_eval_broadcasts_over_shapes(rng):
+    # polyval2d alone rejects (3, 1) against (1, 4)
+    p, c = random_poly(rng, 4, 3)
+    xs = rng.uniform(0, 1, size=(3, 1))
+    ys = rng.uniform(0, 1, size=(1, 4))
+    vals = p(xs, ys)
+    assert vals.shape == (3, 4)
+    expected = [[p(x, y) for y in ys[0]] for x in xs[:, 0]]
+    assert np.array_equal(vals, expected)
+
+
 def test_derivative_of_x2y():
     p = Poly2D.monomial(2, 1)
     for got, want in ((p.derivative(1, 0), 2.0 * Poly2D.monomial(1, 1)),

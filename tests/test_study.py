@@ -1,12 +1,15 @@
+import copy
 import math
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from c1rect import assembly
-from c1rect.elements import Family, element_basis
-from c1rect.mesh import build_dof_map, build_mesh, clamped_flags
+from c1rect import elements
+from c1rect.elements import ElementBasis, Family, element_basis
+from c1rect.mesh import RectMesh, build_dof_map, build_mesh, clamped_flags
 from c1rect.poly2d import Poly2D
 from c1rect.study import (
     StudyConfig,
@@ -330,3 +333,49 @@ def test_expected_dim_formula():
     assert expected_dim(Family.ENRICHED_P, 4, 1) == 20
     assert expected_dim(Family.ENRICHED_P, 8, 2) == 148
     assert expected_dim(Family.BFS_Q, 6, 2) == (5 * 2 + 2) ** 2
+
+
+@pytest.mark.parametrize("family,k", [(Family.ENRICHED_P, 6), (Family.BFS_Q, 5)])
+def test_tensor_grid_errors_match_per_element_points(family, k):
+    # reference: each element's corner plus h times the rule's points, and
+    # the FE function from a fresh tabulation; n = 3 makes h inexact
+    eb = element_basis(family, k)
+    mesh = RectMesh(3)
+    dm = clamped_flags(mesh, build_dof_map(mesh, eb))
+    exact = exact_solution()
+    coeffs = interpolate(exact, mesh, dm, eb)
+    rule = assembly.reference_table(eb).quad
+    x0, y0 = mesh.element_corner(np.arange(mesh.n_elements))
+    xs = x0[:, None] + mesh.h * rule.points[:, 0]
+    ys = y0[:, None] + mesh.h * rule.points[:, 1]
+    for fn, d in ((exact.u, (0, 0)), (exact.uxx, (2, 0)), (exact.uxy, (1, 1)),
+                  (exact.uyy, (0, 2))):
+        old = fn(xs, ys) - assembly.evaluate_on_elements(mesh, dm, eb, coeffs, rule.points, d)
+        new = assembly.on_quadrature_grid(fn, mesh, rule) - \
+            assembly.evaluate_on_elements(mesh, dm, eb, coeffs, None, d)
+        assert np.array_equal(new, old)
+
+
+def test_study_tabulates_once_per_basis(monkeypatch):
+    calls = Counter()
+    tabulate = ElementBasis.tabulate
+
+    def counted(self, *args):
+        calls[self] += 1
+        return tabulate(self, *args)
+
+    monkeypatch.setattr(ElementBasis, "tabulate", counted)
+    assembly.reference_table.cache_clear()
+    for family in Family:
+        run_study(StudyConfig(family=family, k=4, max_level=5))
+    assert len(calls) == 2 and max(calls.values()) <= 6
+
+
+def test_unisolvency_counts_can_fail(monkeypatch):
+    # one interior DOF too many in the layout count against the closed form
+    patched = copy.copy(element_basis(Family.ENRICHED_P, 4))
+    patched.interior_dof_count += 1
+    monkeypatch.setattr(elements, "element_basis", lambda family, k: patched)
+    by_name = {c.name: c for c in verify(Family.ENRICHED_P, 4, 2)}
+    assert not by_name["unisolvency_counts"].passed
+    assert by_name["unisolvency_counts"].value == 1.0
