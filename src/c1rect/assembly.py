@@ -198,30 +198,60 @@ def _positive_diagonal(matrix: scipy.sparse.csr_matrix) -> FloatArray:
     return d
 
 
+def _nested_dissection(system: LinearSystem) -> np.ndarray:
+    """Elimination order (new -> old slot) by nested dissection of the element
+    grid (A. George, SIAM J. Numer. Anal. 10, 1973): each rectangle of elements
+    is bisected across its longer side at its middle grid line, down to single
+    elements; a slot goes to a half if all its elements lie there, else to the
+    separator, which is ordered after both halves."""
+    slots = system.element_slots
+    n, nf = round(len(slots) ** 0.5), system.n_free
+    e, local = np.nonzero(slots >= 0)
+    lo, hi = np.full((2, nf), n), np.zeros((2, nf), dtype=int)  # box of its elements
+    for a, c in enumerate((e % n, e // n)):
+        np.minimum.at(lo[a], slots[e, local], c)
+        np.maximum.at(hi[a], slots[e, local], c + 1)
+    r0, r1 = np.zeros((2, nf), dtype=int), np.full((2, nf), n)  # its subdomain
+    key, digit = np.zeros(nf, dtype=np.int64), np.zeros(nf, dtype=int)
+    while np.any(digit < 2):
+        y = r1[1] - r0[1] > r1[0] - r0[0]  # x on a tie
+        mid = np.where(y, r0[1] + r1[1], r0[0] + r1[0]) // 2
+        digit = np.where(np.where(y, hi[1], hi[0]) <= mid, 0,
+                         np.where(np.where(y, lo[1], lo[0]) >= mid, 1, 2))
+        digit[np.all(r1 - r0 == 1, axis=0)] = 2
+        key = 3 * key + digit  # 0, 1: the half; 2: separator or single element, last
+        for r, d in ((r1, 0), (r0, 1)):  # the half's side moves to mid
+            np.copyto(r, mid, where=np.stack([~y, y]) & (digit == d))
+    return np.argsort(key, kind="stable")
+
+
 def _direct_solver(system: LinearSystem) -> tuple[Callable[[FloatArray], tuple[FloatArray, int]], int]:
     """Sparse LU with symmetric diagonal equilibration; returns the solver
     and the fill (nonzeros of L plus U).
 
     Value and mixed-derivative DOFs scale like h^0 vs h^2, which alone costs
     ~h^-4 in condition number at high degree; equilibrating by the diagonal
-    removes that spread before factorization.  Rows and columns share the
-    fill-reducing ordering and a row is swapped only for an exactly zero
-    pivot, so without a swap the pivots are Cholesky's: all positive if and
-    only if the matrix is SPD, up to roundoff.
+    removes that spread.  SuperLU keeps :func:`_nested_dissection`'s order
+    and swaps a row only for an exactly zero pivot, so without a swap the
+    pivots are Cholesky's: all positive iff the matrix is SPD, up to roundoff.
     """
-    from scipy.sparse.linalg import splu  # here: 9 MB, 0.1 s that verify and CG never use
+    from scipy.sparse.linalg import splu  # here: 9 MB, 0.05-0.065 s that verify and CG never use
     A = system.matrix
     s = 1.0 / np.sqrt(_positive_diagonal(A))
-    data = A.data * np.repeat(s, np.diff(A.indptr)) * s[A.indices]
-    scaled = scipy.sparse.csr_matrix((data, A.indices, A.indptr), shape=A.shape).tocsc()
+    p = _nested_dissection(system)
+    q = np.argsort(p).astype(A.indices.dtype)  # old -> new
+    B = scipy.sparse.csr_matrix((A.data * np.repeat(s, np.diff(A.indptr)) * s[A.indices],
+                                 A.indices, A.indptr), shape=A.shape)[p]  # rows moved
+    B = scipy.sparse.csr_matrix((B.data, q[B.indices], B.indptr), shape=A.shape).tocsc()
+    s = s[p]
     try:
-        lu = splu(scaled, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+        lu = splu(B, permc_spec="NATURAL", diag_pivot_thresh=0.0,
                   options={"SymmetricMode": True})
     except RuntimeError as err:  # exactly singular
         raise NotSPD(str(err)) from err
     if not (np.array_equal(lu.perm_r, lu.perm_c) and np.all(lu.U.diagonal() > 0.0)):
         raise NotSPD("nonpositive pivot")
-    return (lambda r: (s * lu.solve(s * r), 1)), lu.L.nnz + lu.U.nnz
+    return (lambda r: ((s * lu.solve(s * r[p]))[q], 1)), lu.L.nnz + lu.U.nnz
 
 
 def _element_block_preconditioner(system: LinearSystem) -> Callable[[FloatArray], FloatArray]:

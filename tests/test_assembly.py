@@ -163,21 +163,96 @@ def test_assembly_matches_element_loop(family, k):
     assert np.max(np.abs(system.rhs - rhs)) <= 1e-14 * np.max(np.abs(rhs))
 
 
-def test_equilibration_matches_broadcast_multiply(monkeypatch):
+def _record_splu(monkeypatch):
+    """Record every (matrix, keywords, factor) that the direct solver passes to
+    and gets from ``splu``."""
     import scipy.sparse.linalg
     splu, seen = scipy.sparse.linalg.splu, []
-    monkeypatch.setattr(scipy.sparse.linalg, "splu",
-                        lambda A, **kw: seen.append(A) or splu(A, **kw))
+
+    def recording(A, **kw):
+        seen.append((A, kw, splu(A, **kw)))
+        return seen[-1][2]
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", recording)
+    return seen
+
+
+def test_equilibration_matches_broadcast_multiply(monkeypatch):
+    # the factored matrix is the broadcast-multiplied one with rows and
+    # columns moved into the nested-dissection order, value for value
+    seen = _record_splu(monkeypatch)
     for family, k in ((Family.ENRICHED_P, 4), (Family.BFS_Q, 7)):
         _, _, _, system = _system(family, k, 4, exact_solution().f)
         solve(system)
         A = system.matrix
         s = 1.0 / np.sqrt(A.diagonal())
-        old = A.multiply(s[:, None]).multiply(s).tocsc()
-        new = seen.pop()
+        p = assembly._nested_dissection(system)
+        old = A.multiply(s[:, None]).multiply(s).tocsr()[p][:, p].tocsc()
+        new, kw, _ = seen.pop()
         assert new.format == "csc"
+        assert kw["permc_spec"] == "NATURAL"
         for name in ("indptr", "indices", "data"):
             assert np.array_equal(getattr(new, name), getattr(old, name))
+
+
+@pytest.mark.parametrize("family", list(Family))
+@pytest.mark.parametrize("k", [4, 5, 6, 7, 8])
+def test_nested_dissection_is_a_permutation(family, k):
+    for level in (1, 2, 3, 4):
+        _, _, _, system = _system(family, k, level, exact_solution().f)
+        p = assembly._nested_dissection(system)
+        assert np.array_equal(np.sort(p), np.arange(system.n_free))
+
+
+def test_nested_dissection_of_relabelled_system():
+    _, _, _, system = _system(Family.ENRICHED_P, 8, 3, exact_solution().f)
+    slot = np.random.default_rng(0).permutation(system.n_free)
+    relabelled = LinearSystem(
+        matrix=system.matrix, rhs=system.rhs, free_dofs=system.free_dofs,
+        free_index=system.free_index, total=system.total,
+        element_slots=np.where(system.element_slots >= 0,
+                               slot[system.element_slots], -1))
+    p = assembly._nested_dissection(relabelled)
+    assert np.array_equal(np.sort(p), np.arange(system.n_free))
+
+
+@pytest.mark.parametrize("family,k,level", [(Family.ENRICHED_P, 4, 4),
+                                            (Family.BFS_Q, 5, 3)])
+def test_nested_dissection_top_split_decouples_halves(monkeypatch, family, k, level):
+    seen = _record_splu(monkeypatch)
+    mesh, _, _, system = _system(family, k, level, exact_solution().f)
+    solve(system)
+    # halves of the first cut, x = 1/2, from the elements touching each slot
+    slots = system.element_slots
+    i = np.repeat(np.arange(mesh.n_elements) % mesh.n, slots.shape[1])
+    left = np.ones(system.n_free, dtype=bool)
+    right = np.ones(system.n_free, dtype=bool)
+    free = slots.ravel() >= 0
+    np.logical_and.at(left, slots.ravel()[free], i[free] < mesh.n // 2)
+    np.logical_and.at(right, slots.ravel()[free], i[free] >= mesh.n // 2)
+    n1, n2 = left.sum(), right.sum()
+    assert 0 < n1 == n2 < system.n_free
+    p = assembly._nested_dissection(system)
+    assert np.all(left[p[:n1]]) and np.all(right[p[n1:n1 + n2]])
+    B, _, _ = seen.pop()
+    assert B[:n1, n1:n1 + n2].nnz == 0
+    assert B[n1:n1 + n2, :n1].nnz == 0
+
+
+def test_nested_dissection_of_one_element_is_identity():
+    system = LinearSystem(matrix=scipy.sparse.csr_matrix(np.eye(4)), rhs=np.ones(4),
+                          free_dofs=np.arange(4), free_index=np.arange(4), total=4,
+                          element_slots=np.arange(4)[None, :])
+    assert np.array_equal(assembly._nested_dissection(system), np.arange(4))
+
+
+def test_factor_keeps_the_nested_dissection_order(monkeypatch):
+    seen = _record_splu(monkeypatch)
+    _, _, _, system = _system(Family.BFS_Q, 6, 3, exact_solution().f)
+    solve(system)
+    _, _, lu = seen.pop()
+    assert np.array_equal(lu.perm_c, np.arange(system.n_free))
+    assert np.array_equal(lu.perm_r, np.arange(system.n_free))
 
 
 def test_evaluate_solution_caches_nothing(rng):
