@@ -2,14 +2,18 @@
 rows of the benchmark's cases, to check that a change leaves them
 bit-identical.
 
-Run it on two checkouts and compare the outputs:
+Run each checkout's own copy on its own ``src`` and compare the outputs:
 
-    PYTHONPATH=<other checkout>/src python scripts/element_digest.py > a.txt
+    (cd <other checkout> && PYTHONPATH=src python scripts/element_digest.py) > a.txt
     PYTHONPATH=src python scripts/element_digest.py > b.txt
     diff a.txt b.txt
 
 Digests are SHA-256 over dtype, shape and bytes; other floats print by ``repr``.
 LAPACK builds differ between machines, so compare outputs from one machine.
+Element data is hashed straight from the ``nodal`` coefficient stacks.
+Older checkouts, which kept each basis as a list of polynomial objects,
+hash the same zero-padded stack in their own copy, so a ``git archive`` of
+one and this copy print identical lines for identical data.
 """
 
 import hashlib
@@ -19,7 +23,6 @@ import numpy as np
 from c1rect import (Family, StudyConfig, assemble, bell_nodal_basis,
                     build_dof_map, build_mesh, clamped_flags, element_basis,
                     exact_solution, run_study, verify)
-from c1rect.poly2d import stack_coeffs
 
 DOF_MAP_FIELDS = ("local_to_global", "is_boundary", "entity_kind", "entity_id",
                   "kind_code", "points")
@@ -36,7 +39,7 @@ def digest(*arrays) -> str:
 def element_digest(eb) -> str:
     table = digest(np.array([d.kind.value for d in eb.dofs]),
                    np.array([d.point for d in eb.dofs]))
-    return f"dofs {table} nodal {digest(stack_coeffs(eb.nodal))} rcond {eb.rcond!r}"
+    return f"dofs {table} nodal {digest(eb.nodal)} rcond {eb.rcond!r}"
 
 
 for k in range(4, 9):

@@ -15,8 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .poly2d import (DofFunctional, DofKind, FloatArray, Poly2D, functional_matrix,
-                     stack_coeffs)
+from .poly2d import DofFunctional, DofKind, FloatArray, functional_matrix
 
 #: reciprocal-condition floor below which a duality matrix is treated as singular
 RCOND_FLOOR = 1e-14
@@ -121,28 +120,28 @@ def _edge_constraint_matrix(k: int) -> FloatArray:
     return A
 
 
-def constraint_residuals(k: int, p: Poly2D) -> FloatArray:
-    """The four edge-constraint values for p; all ~0 iff p is in the space."""
-    c = p.padded(k, k).ravel()
-    return _edge_constraint_matrix(k) @ c
+def constraint_residuals(k: int, coeffs: FloatArray) -> FloatArray:
+    """The four edge-constraint values of each (k+1, k+1) coefficient array in
+    ``coeffs``, on the last axis; all ~0 iff the polynomial is in the space."""
+    return coeffs.reshape(coeffs.shape[:-2] + (-1,)) @ _edge_constraint_matrix(k).T
 
 
-def bell_space(k: int) -> list[Poly2D]:
+def bell_space(k: int) -> FloatArray:
     """Spanning basis of the constrained space, dimension (k+1)^2 - 4."""
     _check_degree(k)
-    vecs = _null_space(_edge_constraint_matrix(k))
-    return [Poly2D(v.reshape(k + 1, k + 1)) for v in vecs]
+    return np.reshape(_null_space(_edge_constraint_matrix(k)), (-1, k + 1, k + 1))
 
 
 def dual_nodal_basis(
-    dofs: list[DofFunctional], span: list[Poly2D]
-) -> tuple[list[Poly2D], float]:
-    """Nodal basis dual to ``dofs`` spanning the same space as ``span``.
+    dofs: list[DofFunctional], span: FloatArray
+) -> tuple[FloatArray, float]:
+    """Nodal basis dual to ``dofs`` spanning the same space as the stack ``span``.
 
     The span's coefficient vectors are orthonormalized (QR) before the
     generalized Vandermonde V[m, n] = dofs[m](span[n]) is formed, and the
     inverse is taken through the SVD; both steps are needed for the duality
-    certificate to hold to 1e-9 at degree 8.  Returns the basis and the
+    certificate to hold to 1e-9 at degree 8.  Returns the basis, a read-only
+    stack shaped like ``span`` because it is cached element data, and the
     reciprocal condition number of V.
 
     Raises SingularDofMatrix when V is numerically singular, which would
@@ -150,10 +149,9 @@ def dual_nodal_basis(
     """
     if len(dofs) != len(span):
         raise ValueError(f"{len(dofs)} functionals vs {len(span)} span members")
-    S = stack_coeffs(span)
-    Q, _ = np.linalg.qr(S.reshape(len(span), -1).T)
-    qpolys = [Poly2D(q.reshape(S.shape[1:])) for q in Q.T]
-    V = functional_matrix(dofs, qpolys)
+    Q, _ = np.linalg.qr(span.reshape(len(span), -1).T)
+    Q = Q.T.reshape(span.shape)
+    V = functional_matrix(dofs, Q)
     rcond = float(1.0 / np.linalg.cond(V))
     if not np.isfinite(rcond) or rcond < RCOND_FLOOR:
         raise SingularDofMatrix(
@@ -167,8 +165,9 @@ def dual_nodal_basis(
     residual = float(np.max(np.abs(V @ C - eye)))
     if residual > 1e-8:
         raise SingularDofMatrix(f"duality residual {residual:.3e} after refinement")
-    coeffs = np.einsum("jn,jab->nab", C, Q.T.reshape(S.shape))
-    return [Poly2D(coeffs[n]) for n in range(len(span))], rcond
+    coeffs = np.einsum("jn,jab->nab", C, Q)
+    coeffs.setflags(write=False)
+    return coeffs, rcond
 
 
 @dataclass(frozen=True, eq=False)
@@ -178,11 +177,11 @@ class BellBasis:
     k: int
     dofs: tuple[DofFunctional, ...]
     labels: tuple[Label, ...]
-    nodal: tuple[Poly2D, ...]
+    nodal: FloatArray  # (dim, k+1, k+1) read-only coefficient stack
     index: dict[Label, int]
     rcond: float
 
-    def bubble(self, label: Label) -> Poly2D:
+    def bubble(self, label: Label) -> FloatArray:
         return self.nodal[self.index[label]]
 
 
@@ -196,7 +195,7 @@ def bell_nodal_basis(k: int) -> BellBasis:
         k=k,
         dofs=tuple(dofs),
         labels=tuple(labels),
-        nodal=tuple(nodal),
+        nodal=nodal,
         index={lab: n for n, lab in enumerate(labels)},
         rcond=rcond,
     )

@@ -11,14 +11,17 @@ from dataclasses import asdict
 
 from . import assembly, study
 from .elements import Family
+from .mesh import MAX_LEVEL
 
 
-def _positive(kind):
-    """argparse type: a finite number of ``kind`` greater than zero."""
+def _positive(kind, most=math.inf):
+    """argparse type: a finite number of ``kind`` greater than zero, at most ``most``."""
     def parse(text: str):
         value = kind(text)
         if not (math.isfinite(value) and value > 0):
             raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+        if value > most:
+            raise argparse.ArgumentTypeError(f"must be at most {most}, got {text}")
         return value
     parse.__name__ = kind.__name__  # names the type in argparse's messages
     return parse
@@ -44,7 +47,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_study = sub.add_parser("study", help="run a convergence study")
     p_study.add_argument("--family", choices=families, required=True)
     p_study.add_argument("--k", type=int, choices=range(4, 9), required=True)
-    p_study.add_argument("--levels", type=_positive(int), default=None,
+    p_study.add_argument("--levels", type=_positive(int, MAX_LEVEL), default=None,
                          help="finest refinement level (default 6 for k<=5, 4 above)")
     p_study.add_argument("--tol", type=_positive(float), default=1e-13,
                          help="relative residual for the iterative solver")
@@ -57,7 +60,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run the invariant checks")
     p_verify.add_argument("--family", choices=families, required=True)
     p_verify.add_argument("--k", type=int, choices=range(4, 9), required=True)
-    p_verify.add_argument("--level", type=_positive(int), default=2)
+    p_verify.add_argument("--level", type=_positive(int, MAX_LEVEL), default=2)
     p_verify.add_argument("--format", choices=["text", "json"], default="text")
     p_verify.add_argument("--out", type=_out_path, default=None)
     return parser
@@ -112,9 +115,11 @@ def _run_verify(args) -> int:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.command == "study":
-        return _run_study(args)
-    return _run_verify(args)
+    try:
+        return _run_study(args) if args.command == "study" else _run_verify(args)
+    except MemoryError as err:
+        print(f"c1rect: out of memory ({str(err) or 'allocation failed'})", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -26,8 +26,7 @@ from functools import lru_cache
 import numpy as np
 
 from .bell import bell_nodal_basis, dual_nodal_basis, select_bubbles
-from .poly2d import (DofFunctional, DofKind, FloatArray, Poly2D, _differentiate,
-                     stack_coeffs)
+from .poly2d import DofFunctional, DofKind, FloatArray, _differentiate, monomials
 
 
 class Family(str, Enum):
@@ -77,7 +76,7 @@ class ElementBasis:
     ----------
     family, k : the element family and polynomial degree
     dofs : tuple of DofFunctional on [0,1]^2
-    nodal : tuple of Poly2D with dofs[m](nodal[n]) = delta_mn
+    nodal : read-only (dim, k+1, k+1) coefficient stack, dofs[m](nodal[n]) = delta_mn
     edge_dof_count, interior_dof_count : DOFs per edge and in the interior
     rcond : reciprocal condition number of the duality matrix
     """
@@ -86,12 +85,11 @@ class ElementBasis:
         self.family = family
         self.k = k
         self.dofs = tuple(dofs)
-        self.nodal = tuple(nodal)
+        self.nodal = nodal
         self.edge_dof_count = edge_dof_count
         self.interior_dof_count = len(self.dofs) - N_VERTEX_DOFS - 4 * edge_dof_count
         self.rcond = rcond
         self.deriv_orders = np.array([d.kind.total_order for d in self.dofs])
-        self._tab_cache: dict[tuple[int, int], FloatArray] = {}
 
     @property
     def dim(self) -> int:
@@ -108,18 +106,12 @@ class ElementBasis:
     def interior_dofs(self) -> range:
         return range(N_VERTEX_DOFS + 4 * self.edge_dof_count, self.dim)
 
-    def _deriv_stack(self, order_x: int, order_y: int) -> FloatArray:
-        key = (order_x, order_y)
-        if key not in self._tab_cache:
-            self._tab_cache[key] = _differentiate(stack_coeffs(self.nodal), *key)
-        return self._tab_cache[key]
-
     def tabulate(self, points: FloatArray, deriv: tuple[int, int] = (0, 0)) -> FloatArray:
         """Values of the (deriv_x, deriv_y) derivative of every nodal function.
 
         points: (npts, 2) reference coordinates.  Returns (npts, dim).
         """
-        stack = self._deriv_stack(*deriv)
+        stack = _differentiate(self.nodal, *deriv)
         u = 2.0 * points[:, 0] - 1.0
         v = 2.0 * points[:, 1] - 1.0
         U = u[:, None] ** np.arange(stack.shape[1])
@@ -152,26 +144,22 @@ def enriched_dofs(k: int) -> list[DofFunctional]:
                       for i in range(1, k - 6) for j in range(1, i + 1)])
 
 
-def _pk_monomials(k: int) -> list[Poly2D]:
+def _pk_monomials(k: int) -> FloatArray:
     """Total-degree monomial basis, graded lexicographic (x before y)."""
-    out = []
-    for d in range(k + 1):
-        for i in range(d, -1, -1):
-            out.append(Poly2D.monomial(i, d - i))
-    return out
+    return monomials((i, d - i) for d in range(k + 1) for i in range(d, -1, -1))
 
 
-def _qk_monomials(k: int) -> list[Poly2D]:
+def _qk_monomials(k: int) -> FloatArray:
     """Tensor-product monomial basis x^i y^j, 0 <= i, j <= k, i major."""
-    return [Poly2D.monomial(i, j) for i in range(k + 1) for j in range(k + 1)]
+    return monomials((i, j) for i in range(k + 1) for j in range(k + 1))
 
 
-def enriched_space(k: int) -> list[Poly2D]:
+def enriched_space(k: int) -> FloatArray:
     """Spanning set: total-degree monomials followed by the selected bubbles."""
     if k < 4:
         raise ValueError(f"degree must be at least 4, got {k}")
     bb = bell_nodal_basis(k)
-    return _pk_monomials(k) + [bb.bubble(lab) for lab in select_bubbles(k)]
+    return np.concatenate([_pk_monomials(k), [bb.bubble(lab) for lab in select_bubbles(k)]])
 
 
 def _element(family: Family, k: int, dofs, span, edge_dof_count: int) -> ElementBasis:

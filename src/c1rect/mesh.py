@@ -91,10 +91,15 @@ class RectMesh:
         return self.element_id(i, j)
 
 
+#: finest refinement level: at level 17 the local-to-global table alone
+#: (4^16 elements by at least 20 int64 local DOFs) exceeds 680 GB
+MAX_LEVEL = 16
+
+
 def build_mesh(level: int) -> RectMesh:
-    """Mesh of refinement level >= 1: n = 2^(level-1) subdivisions per side."""
-    if level < 1:
-        raise ValueError("refinement level starts at 1")
+    """Mesh of refinement level 1..MAX_LEVEL: n = 2^(level-1) subdivisions per side."""
+    if not 1 <= level <= MAX_LEVEL:
+        raise ValueError(f"refinement level must be in 1..{MAX_LEVEL}, got {level}")
     return RectMesh(n=2 ** (level - 1))
 
 

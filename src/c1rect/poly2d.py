@@ -1,13 +1,15 @@
-"""Dense bivariate polynomials and point-derivative functionals.
+"""Bivariate polynomial sets as coefficient stacks, and point-derivative
+functionals.
 
-Polynomials live on the reference square [0,1]^2.  Coefficients are stored
-against monomials of the normalized coordinates ``u = 2x - 1, v = 2y - 1``:
-``p(x, y) = sum_ij c[i, j] u^i v^j``.  Degree-8 nodal bases have normalized
-coefficients of moderate size (~1e3), whereas their plain ``x^i y^j``
-coefficients reach ~1e9 and cannot be evaluated to the accuracy the element
-certificates demand; the normalized carrier keeps every evaluation within a
-few ulps.  Plain monomial coefficients remain available for construction and
-inspection through :meth:`Poly2D.from_monomial` / :attr:`Poly2D.monomial_coeffs`.
+Polynomials live on the reference square [0,1]^2.  A set of N polynomials of
+bidegree at most (kx, ky) is one float array of shape (N, kx+1, ky+1), with
+``p_n(x, y) = sum_ij c[n, i, j] u^i v^j`` in the normalized coordinates
+``u = 2x - 1, v = 2y - 1``; a single polynomial is one (kx+1, ky+1) slice.
+Degree-8 nodal bases have normalized coefficients of moderate size (~1e3),
+whereas their plain ``x^i y^j`` coefficients reach ~1e9 and cannot be
+evaluated to the accuracy the element certificates demand; the normalized
+carrier keeps every evaluation within a few ulps.  Plain monomials enter
+through :func:`monomials`.
 """
 
 from __future__ import annotations
@@ -32,13 +34,20 @@ def _shift_to_normalized(n: int) -> FloatArray:
     return S
 
 
-def _shift_to_plain(n: int) -> FloatArray:
-    """Matrix T with u^m = sum_i T[i, m] x^i, i.e. the inverse shift."""
-    T = np.zeros((n + 1, n + 1))
-    for m in range(n + 1):
-        for i in range(m + 1):
-            T[i, m] = comb(m, i) * 2.0**i * (-1.0) ** (m - i)
-    return T
+def monomials(exponents) -> FloatArray:
+    """Stack of the plain monomials x^i y^j for (i, j) in ``exponents``,
+    padded to bidegree (k, k) for the largest exponent k."""
+    exponents = list(exponents)
+    S = _shift_to_normalized(max(max(e) for e in exponents))
+    return np.stack([np.outer(S[:, i], S[:, j]) for i, j in exponents])
+
+
+def polyval(coeffs: FloatArray, x: npt.ArrayLike, y: npt.ArrayLike):
+    """One polynomial's values: Horner in u, then in v, as ``npoly.polyval2d``;
+    broadcasts over arrays of any compatible shapes."""
+    u = 2.0 * np.asarray(x, dtype=float) - 1.0
+    v = 2.0 * np.asarray(y, dtype=float) - 1.0
+    return npoly.polyval(v, npoly.polyval(u, coeffs), tensor=False)
 
 
 def _differentiate(c: FloatArray, order_x: int, order_y: int) -> FloatArray:
@@ -79,106 +88,6 @@ class DofKind(Enum):
         return self.value[0] + self.value[1]
 
 
-class Poly2D:
-    """Bivariate polynomial with dense normalized-monomial coefficients."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: npt.ArrayLike):
-        c = np.atleast_2d(np.asarray(coeffs, dtype=float))
-        if c.ndim != 2:
-            raise ValueError("coefficients must form a 2-d array")
-        self.coeffs: FloatArray = c
-
-    # -- construction -------------------------------------------------
-
-    @classmethod
-    def from_monomial(cls, coeffs: npt.ArrayLike) -> "Poly2D":
-        """Build from plain coefficients a[i, j] multiplying x^i y^j."""
-        a = np.atleast_2d(np.asarray(coeffs, dtype=float))
-        kx, ky = a.shape[0] - 1, a.shape[1] - 1
-        return cls(_shift_to_normalized(kx) @ a @ _shift_to_normalized(ky).T)
-
-    @classmethod
-    def zero(cls) -> "Poly2D":
-        return cls(np.zeros((1, 1)))
-
-    @classmethod
-    def constant(cls, value: float) -> "Poly2D":
-        return cls(np.array([[float(value)]]))
-
-    @classmethod
-    def monomial(cls, i: int, j: int) -> "Poly2D":
-        """The plain monomial x^i y^j."""
-        a = np.zeros((i + 1, j + 1))
-        a[i, j] = 1.0
-        return cls.from_monomial(a)
-
-    # -- inspection ----------------------------------------------------
-
-    @property
-    def bidegree(self) -> tuple[int, int]:
-        return self.coeffs.shape[0] - 1, self.coeffs.shape[1] - 1
-
-    @property
-    def monomial_coeffs(self) -> FloatArray:
-        """Plain coefficients a[i, j] multiplying x^i y^j."""
-        kx, ky = self.bidegree
-        return _shift_to_plain(kx) @ self.coeffs @ _shift_to_plain(ky).T
-
-    def padded(self, kx: int, ky: int) -> FloatArray:
-        out = np.zeros((kx + 1, ky + 1))
-        out[: self.coeffs.shape[0], : self.coeffs.shape[1]] = self.coeffs
-        return out
-
-    def max_coeff_diff(self, other: "Poly2D") -> float:
-        """Coefficient max-norm distance after padding to common bidegree."""
-        kx = max(self.coeffs.shape[0], other.coeffs.shape[0]) - 1
-        ky = max(self.coeffs.shape[1], other.coeffs.shape[1]) - 1
-        return float(np.max(np.abs(self.padded(kx, ky) - other.padded(kx, ky))))
-
-    # -- evaluation and calculus ---------------------------------------
-
-    def __call__(self, x: npt.ArrayLike, y: npt.ArrayLike):
-        """Horner in u, then in v, as ``npoly.polyval2d``; broadcasts over arrays."""
-        u = 2.0 * np.asarray(x, dtype=float) - 1.0
-        v = 2.0 * np.asarray(y, dtype=float) - 1.0
-        return npoly.polyval(v, npoly.polyval(u, self.coeffs), tensor=False)
-
-    def derivative(self, order_x: int = 0, order_y: int = 0) -> "Poly2D":
-        """Exact partial derivative; lowers each bidegree component, floor 0."""
-        return Poly2D(_differentiate(self.coeffs, order_x, order_y))
-
-    # -- arithmetic -----------------------------------------------------
-
-    def __add__(self, other: "Poly2D") -> "Poly2D":
-        kx = max(self.coeffs.shape[0], other.coeffs.shape[0]) - 1
-        ky = max(self.coeffs.shape[1], other.coeffs.shape[1]) - 1
-        return Poly2D(self.padded(kx, ky) + other.padded(kx, ky))
-
-    def __sub__(self, other: "Poly2D") -> "Poly2D":
-        return self + (-1.0) * other
-
-    def __neg__(self) -> "Poly2D":
-        return Poly2D(-self.coeffs)
-
-    def __mul__(self, other):
-        if isinstance(other, Poly2D):
-            a, b = self.coeffs, other.coeffs
-            out = np.zeros((a.shape[0] + b.shape[0] - 1, a.shape[1] + b.shape[1] - 1))
-            for i in range(a.shape[0]):
-                for j in range(a.shape[1]):
-                    if a[i, j] != 0.0:
-                        out[i : i + b.shape[0], j : j + b.shape[1]] += a[i, j] * b
-            return Poly2D(out)
-        return Poly2D(float(other) * self.coeffs)
-
-    __rmul__ = __mul__
-
-    def __repr__(self) -> str:
-        return f"Poly2D(bidegree={self.bidegree})"
-
-
 @dataclass(frozen=True)
 class DofFunctional:
     """A point functional: value or point derivative at a fixed location."""
@@ -186,27 +95,19 @@ class DofFunctional:
     kind: DofKind
     point: tuple[float, float]
 
-    def __call__(self, p: Poly2D) -> float:
-        ox, oy = self.kind.orders
-        return float(p.derivative(ox, oy)(self.point[0], self.point[1]))
+    def __call__(self, coeffs: FloatArray) -> float:
+        """The functional applied to one polynomial's coefficient array."""
+        return float(polyval(_differentiate(coeffs, *self.kind.orders), *self.point))
 
 
-def stack_coeffs(polys) -> FloatArray:
-    """Coefficients of ``polys`` zero-padded to a common bidegree: (N, kx+1, ky+1)."""
-    kx = max(p.coeffs.shape[0] for p in polys) - 1
-    ky = max(p.coeffs.shape[1] for p in polys) - 1
-    return np.stack([p.padded(kx, ky) for p in polys])
-
-
-def functional_matrix(dofs, polys) -> FloatArray:
-    """V[m, n] = dofs[m](polys[n]), with one Horner pass per derivative kind.
+def functional_matrix(dofs, coeffs: FloatArray) -> FloatArray:
+    """V[m, n] = dofs[m](coeffs[n]), with one Horner pass per derivative kind.
 
     Bit-identical to calling each functional: the recurrences repeat
-    ``npoly.polyval2d``'s operations in its order, and the leading zeros of
-    the padding leave Horner's value unchanged, signed zeros included.
+    ``npoly.polyval2d``'s operations in its order, and leading zero
+    coefficients leave Horner's value unchanged, signed zeros included.
     """
-    coeffs = stack_coeffs(polys)
-    V = np.empty((len(dofs), len(polys)))
+    V = np.empty((len(dofs), len(coeffs)))
     for kind in DofKind:
         rows = [m for m, dof in enumerate(dofs) if dof.kind is kind]
         if not rows:

@@ -21,9 +21,9 @@ import pytest
 from c1rect import assembly
 from c1rect.elements import Family, element_basis
 from c1rect.mesh import build_dof_map, build_mesh, clamped_flags
-from c1rect.poly2d import Poly2D
+from c1rect.poly2d import polyval
 from c1rect.study import c1_jump, error_norms, exact_solution, verify
-from conftest import cached_study
+from conftest import PATCH_F, PATCH_U, cached_study
 
 EP, QB = Family.ENRICHED_P, Family.BFS_Q
 
@@ -172,24 +172,17 @@ def test_criterion_6_property_suite(rng):
                 failures.append(f"c1 jump {family.value} k={k}: {jump:.2e}")
 
     # polynomial patch test in both families
-    x2 = Poly2D.from_monomial(np.array([[0.0], [0.0], [1.0]]))
-    omx2 = Poly2D.from_monomial(np.array([[1.0], [-2.0], [1.0]]))
-    y2 = Poly2D.from_monomial(np.array([[0.0, 0.0, 1.0]]))
-    omy2 = Poly2D.from_monomial(np.array([[1.0, -2.0, 1.0]]))
-    u_poly = x2 * omx2 * y2 * omy2
-    lap = u_poly.derivative(2, 0) + u_poly.derivative(0, 2)
-    f_poly = lap.derivative(2, 0) + lap.derivative(0, 2)
     mesh2 = build_mesh(2)
     for family, k in ((QB, 4), (EP, 8)):
         eb = element_basis(family, k)
         dm = clamped_flags(mesh2, build_dof_map(mesh2, eb))
-        system = assembly.assemble(mesh2, dm, eb, lambda X, Y: f_poly(X, Y))
+        system = assembly.assemble(mesh2, dm, eb, lambda X, Y: polyval(PATCH_F, X, Y))
         result = assembly.solve(system, method="direct")
         worst = 0.0
         for _ in range(40):
             x, y = rng.uniform(0, 1, size=2)
             got = assembly.evaluate_solution(mesh2, dm, eb, result.coeffs, x, y)
-            worst = max(worst, abs(got - float(u_poly(x, y))))
+            worst = max(worst, abs(got - float(polyval(PATCH_U, x, y))))
         if worst >= 1e-8:
             failures.append(f"patch test {family.value} k={k}: {worst:.2e}")
 

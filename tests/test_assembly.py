@@ -15,8 +15,9 @@ from c1rect.assembly import (
 )
 from c1rect.elements import Family, element_basis
 from c1rect.mesh import RectMesh, build_dof_map, build_mesh, clamped_flags
-from c1rect.poly2d import Poly2D
+from c1rect.poly2d import polyval
 from c1rect.study import exact_solution, interpolate
+from conftest import PATCH_F, PATCH_U
 
 
 def test_gauss_rule_single_point():
@@ -261,33 +262,20 @@ def test_evaluate_solution_caches_nothing(rng):
     dm = build_dof_map(mesh, eb)
     coeffs = rng.standard_normal(dm.total)
     assembly.reference_table(eb)
-    sizes = (assembly.reference_table.cache_info().currsize, len(eb._tab_cache))
+    sizes = (assembly.reference_table.cache_info().currsize, sorted(vars(eb)))
     for x, y in rng.uniform(0, 1, size=(100, 2)):
         evaluate_solution(mesh, dm, eb, coeffs, x, y, deriv=(1, 1))
-    assert (assembly.reference_table.cache_info().currsize, len(eb._tab_cache)) == sizes
-
-
-def _poly_patch_data():
-    # u = x^2 (1-x)^2 y^2 (1-y)^2 lies in Q_4 and P_8 and is clamped
-    x2 = Poly2D.from_monomial(np.array([[0.0], [0.0], [1.0]]))
-    omx2 = Poly2D.from_monomial(np.array([[1.0], [-2.0], [1.0]]))
-    y2 = Poly2D.from_monomial(np.array([[0.0, 0.0, 1.0]]))
-    omy2 = Poly2D.from_monomial(np.array([[1.0, -2.0, 1.0]]))
-    u = x2 * omx2 * y2 * omy2
-    lap = u.derivative(2, 0) + u.derivative(0, 2)
-    f = lap.derivative(2, 0) + lap.derivative(0, 2)
-    return u, f
+    assert (assembly.reference_table.cache_info().currsize, sorted(vars(eb))) == sizes
 
 
 @pytest.mark.parametrize("family,k", [(Family.BFS_Q, 4), (Family.ENRICHED_P, 8)])
 def test_polynomial_patch_test(family, k, rng):
-    u, f = _poly_patch_data()
-    mesh, dm, eb, system = _system(family, k, 2, lambda X, Y: f(X, Y))
+    mesh, dm, eb, system = _system(family, k, 2, lambda X, Y: polyval(PATCH_F, X, Y))
     result = solve(system, method="direct")
     for _ in range(40):
         x, y = rng.uniform(0, 1, size=2)
         got = evaluate_solution(mesh, dm, eb, result.coeffs, x, y)
-        assert got == pytest.approx(float(u(x, y)), abs=1e-9)
+        assert got == pytest.approx(float(polyval(PATCH_U, x, y)), abs=1e-9)
 
 
 def test_single_unknown_system():

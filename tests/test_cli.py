@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from c1rect import study
 from c1rect.cli import main
 from c1rect.study import CSV_COLUMNS, parse_csv
 
@@ -91,6 +92,37 @@ def test_verify_rejects_level_below_one(capsys):
     err = _parse_error(["verify", "--family", "p-enriched", "--k", "4",
                         "--level", "0"], capsys)
     assert "--level: must be positive, got 0" in err
+
+
+@pytest.mark.parametrize("command", [
+    ["verify", "--family", "q-bfs", "--k", "4", "--level", "17"],
+    ["study", "--family", "q-bfs", "--k", "4", "--levels", "40"],
+])
+def test_level_above_mesh_bound_rejected_before_work(command, monkeypatch, capsys):
+    # level 17 would need a local-to-global table of more than 680 GB
+    def unreachable(*args):
+        raise AssertionError("no work may run for an out-of-range level")
+
+    monkeypatch.setattr(study, "verify", unreachable)
+    monkeypatch.setattr(study, "run_study", unreachable)
+    err = _parse_error(command, capsys)
+    assert f"must be at most 16, got {command[-1]}" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command,target", [
+    (["study", "--family", "q-bfs", "--k", "4", "--levels", "2"], "run_study"),
+    (["verify", "--family", "q-bfs", "--k", "4", "--level", "2"], "verify"),
+])
+def test_out_of_memory_exits_2(command, target, monkeypatch, capsys):
+    def exhausted(*args):
+        raise MemoryError("Unable to allocate 8.00 GiB")
+
+    monkeypatch.setattr(study, target, exhausted)
+    code = main(command)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "c1rect: out of memory (Unable to allocate 8.00 GiB)\n"
 
 
 def test_study_rejects_nonpositive_tolerance(capsys):

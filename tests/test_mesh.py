@@ -4,6 +4,7 @@ import pytest
 from c1rect.elements import Family, element_basis
 from c1rect.mesh import (
     H_EDGE,
+    MAX_LEVEL,
     V_EDGE,
     VERTEX,
     build_dof_map,
@@ -21,6 +22,9 @@ def test_build_mesh_levels():
     assert build_mesh(5).n_elements == 256
     with pytest.raises(ValueError):
         build_mesh(0)
+    assert build_mesh(MAX_LEVEL).n == 2 ** 15
+    with pytest.raises(ValueError, match="must be in 1..16, got 17"):
+        build_mesh(MAX_LEVEL + 1)
 
 
 def test_entity_counts():
