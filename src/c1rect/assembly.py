@@ -8,7 +8,8 @@ entry picks up h^(o_m + o_n - 2), a load entry h^(o_m + 2), and evaluation
 multiplies physical DOF values by h^o and divides a (d_x, d_y) derivative by
 h^(d_x + d_y).  On a uniform mesh every element shares the scaled reference
 stiffness block and one tabulation per evaluation, so assembly and
-evaluation are array operations over (element, local DOF).
+evaluation are array operations over (element, local DOF), and the direct
+solver factors one front per class of nested-dissection boxes, not per box.
 """
 
 from __future__ import annotations
@@ -81,8 +82,10 @@ class LinearSystem:
     free_index: np.ndarray   # global DOF -> free slot, -1 if constrained
     total: int               # global DOF count including constrained
     #: (element, local DOF) -> free slot, -1 if constrained; the blocks of the
-    #: CG preconditioner
+    #: CG preconditioner and the boxes of the direct factor
     element_slots: np.ndarray
+    #: (dim, dim) block every element adds on its slots; the direct factor's input
+    element_matrix: FloatArray
 
     @property
     def n_free(self) -> int:
@@ -170,7 +173,7 @@ def assemble(
     matrix = scipy.sparse.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
     return LinearSystem(matrix=matrix, rhs=rhs, free_dofs=free_dofs,
                         free_index=free_index, total=dof_map.total,
-                        element_slots=fslots)
+                        element_slots=fslots, element_matrix=elem_stiff)
 
 
 @dataclass
@@ -179,7 +182,7 @@ class SolveResult:
     iterations: int
     residual: float
     method: str
-    fill: int  # nonzeros of the direct factor, L plus U; 0 without one
+    fill: int  # 2 nnz(L) of the direct factor (L plus U of an LU); 0 without one
 
 
 SOLVER_METHODS = ("direct", "cg")
@@ -198,60 +201,167 @@ def _positive_diagonal(matrix: scipy.sparse.csr_matrix) -> FloatArray:
     return d
 
 
-def _nested_dissection(system: LinearSystem) -> np.ndarray:
-    """Elimination order (new -> old slot) by nested dissection of the element
-    grid (A. George, SIAM J. Numer. Anal. 10, 1973): each rectangle of elements
-    is bisected across its longer side at its middle grid line, down to single
-    elements; a slot goes to a half if all its elements lie there, else to the
-    separator, which is ordered after both halves."""
+def _dissection(n: int) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Nested dissection of the n x n element grid (A. George, SIAM J. Numer.
+    Anal. 10, 1973): each box larger than one element is bisected across its
+    longer side, x on a tie, at its middle grid line.
+
+    Per depth, root first: the boxes as (x0, y0, w, h) columns; each box's
+    class, from its width, height and the domain sides it touches; and the
+    next depth's columns of its two halves, -1 for a single element.
+    """
+    box, depths = np.array([[0], [0], [n], [n]]), []
+    while box.shape[1]:
+        x0, y0, w, h = box
+        sides = (x0 == 0) + 2 * (x0 + w == n) + 4 * (y0 == 0) + 8 * (y0 + h == n)
+        split = (w > 1) | (h > 1)
+        halves = np.full((2, len(x0)), -1)
+        halves[:, split] = np.arange(2 * np.count_nonzero(split)).reshape(2, -1)
+        depths.append((box, (w * (n + 1) + h) * 16 + sides, halves))
+        x0, y0, w, h = box[:, split]
+        across_y = h > w
+        dx, dy = np.where(across_y, 0, w // 2), np.where(across_y, h // 2, 0)
+        box = np.hstack([[x0, y0, np.where(across_y, w, dx), np.where(across_y, dy, h)],
+                         [x0 + dx, y0 + dy, w - dx, h - dy]])
+    return depths
+
+
+@dataclass(frozen=True, eq=False)
+class _Front:
+    """The front that every box of one class shares.  Its first m DOFs are
+    eliminated in the box, F11 = L L^T; the other q lie on the box's interface
+    and are eliminated in an enclosing box."""
+
+    ref: np.ndarray     # (2, m + q) each DOF's element, as an offset from the
+                        # box's first element, and its local slot there
+    occ: np.ndarray     # (m + q,) elements of the box that touch each DOF
+    m: int
+    inv_l: FloatArray   # (m, m) M = L^-1, the top of ``back``
+    w: FloatArray       # (m, q) W = M F12
+    back: FloatArray    # (m + q, m) [M; -W^T M]: front values to eliminated ones
+
+
+def _inverse_cholesky(a: FloatArray) -> FloatArray:
+    """L^-1 for a = L L^T, by halves: past 64 rows LAPACK's inverse is slower
+    than the matrix products of the Schur complement."""
+    m = len(a)
+    if m <= 64:
+        try:
+            return np.linalg.inv(np.linalg.cholesky(a))
+        except np.linalg.LinAlgError as err:
+            raise NotSPD(f"nonpositive pivot ({err})") from err
+    h = m // 2
+    top = _inverse_cholesky(a[:h, :h])
+    w = top @ a[:h, h:]
+    bottom = _inverse_cholesky(a[h:, h:] - w.T @ w)
+    out = np.zeros_like(a)
+    out[:h, :h], out[h:, h:], out[h:, :h] = top, bottom, -bottom @ (w.T @ top)
+    return out
+
+
+def _front(system: LinearSystem, touching: np.ndarray, origin: int,
+           halves: list[tuple[_Front, FloatArray, int]] | None) -> tuple[_Front, FloatArray]:
+    """Factor the front of the box whose first element is ``origin``; returns
+    it and the (q, q) Schur complement F22 - W^T W left on its interface.
+
+    A single element (``halves`` None) has the element block on its free
+    slots as its front; a larger box sums the Schur complements of its halves,
+    given with their first elements' offsets.  A DOF is eliminated in the
+    smallest box that holds all ``touching[slot]`` elements touching it.
+    """
     slots = system.element_slots
-    n, nf = round(len(slots) ** 0.5), system.n_free
-    e, local = np.nonzero(slots >= 0)
-    lo, hi = np.full((2, nf), n), np.zeros((2, nf), dtype=int)  # box of its elements
-    for a, c in enumerate((e % n, e // n)):
-        np.minimum.at(lo[a], slots[e, local], c)
-        np.maximum.at(hi[a], slots[e, local], c + 1)
-    r0, r1 = np.zeros((2, nf), dtype=int), np.full((2, nf), n)  # its subdomain
-    key, digit = np.zeros(nf, dtype=np.int64), np.zeros(nf, dtype=int)
-    while np.any(digit < 2):
-        y = r1[1] - r0[1] > r1[0] - r0[0]  # x on a tie
-        mid = np.where(y, r0[1] + r1[1], r0[0] + r1[0]) // 2
-        digit = np.where(np.where(y, hi[1], hi[0]) <= mid, 0,
-                         np.where(np.where(y, lo[1], lo[0]) >= mid, 1, 2))
-        digit[np.all(r1 - r0 == 1, axis=0)] = 2
-        key = 3 * key + digit  # 0, 1: the half; 2: separator or single element, last
-        for r, d in ((r1, 0), (r0, 1)):  # the half's side moves to mid
-            np.copyto(r, mid, where=np.stack([~y, y]) & (digit == d))
-    return np.argsort(key, kind="stable")
+    if halves is None:
+        local = np.flatnonzero(slots[origin] >= 0)
+        ref, occ = np.stack([np.zeros_like(local), local]), np.ones(len(local))
+        dof = slots[origin, local]
+    else:
+        ref = np.hstack([f.ref[:, f.m:] + [[offset], [0]] for f, _, offset in halves])
+        dof, first, at = np.unique(slots[origin + ref[0], ref[1]],
+                                   return_index=True, return_inverse=True)
+        occ = np.bincount(at, weights=np.concatenate([f.occ[f.m:] for f, _, _ in halves]))
+        ref = ref[:, first]
+    inner = occ == touching[dof]
+    order = np.argsort(~inner, kind="stable")
+    m = int(np.count_nonzero(inner))
+    if halves is None:
+        F = system.element_matrix[np.ix_(local[order], local[order])]
+    else:  # each half's interface DOFs as rows of F, summed by flat index
+        (_, s0, _), (_, s1, _) = halves
+        r0, r1 = np.split(np.argsort(order)[at], [len(s0)])
+        F = np.zeros((len(order), len(order)))
+        F.ravel()[(r0[:, None] * len(F) + r0).ravel()] = s0.ravel()
+        F.ravel()[(r1[:, None] * len(F) + r1).ravel()] += s1.ravel()
+    d = np.diagonal(F)[:m]
+    if not np.all(d > 0.0):
+        raise NotSPD("nonpositive diagonal entry")
+    d = 1.0 / np.sqrt(d)
+    # L^-1 of the equilibrated block, whose factor has entries of at most 1
+    inv_l = _inverse_cholesky(F[:m, :m] * d[:, None] * d) * d
+    w = inv_l @ F[:m, m:]
+    back = np.vstack([inv_l, -w.T @ inv_l])
+    return (_Front(ref=ref[:, order], occ=occ[order], m=m, inv_l=back[:m], w=w, back=back),
+            F[m:, m:] - w.T @ w)
+
+
+def _multifrontal_cholesky(system: LinearSystem) -> tuple[list[list[tuple[_Front, np.ndarray]]], int]:
+    """Multifrontal Cholesky (Duff & Reid, ACM TOMS 9, 1983) in the order of
+    :func:`_dissection`, down to single elements.
+
+    On the uniform grid every element carries ``system.element_matrix`` and
+    the boxes of one class see the same slot pattern, so each class's front
+    is factored once, bottom-up.  Returns, per depth from the root, each
+    class's front and its boxes' (boxes, m + q) front slots, and the fill
+    2 nnz(L): the count of L plus U of an LU in this order.
+    """
+    slots = system.element_slots
+    n = round(len(slots) ** 0.5)
+    touching = np.bincount(slots[slots >= 0], minlength=system.n_free)
+    fronts: dict[int, tuple[_Front, FloatArray]] = {}  # and the Schur complement
+    factor, fill = [], 0
+    below_origin = below_key = None  # of the next depth; its boxes are the halves
+    for box, key, half_cols in reversed(_dissection(n)):
+        origin = box[1] * n + box[0]
+        _, first, kind = np.unique(key, return_index=True, return_inverse=True)
+        level = []
+        for c, b in enumerate(first):
+            if key[b] not in fronts:
+                halves = None if half_cols[0, b] < 0 else [
+                    (*fronts[below_key[j]], below_origin[j] - origin[b]) for j in half_cols[:, b]]
+                fronts[key[b]] = _front(system, touching, origin[b], halves)
+            f = fronts[key[b]][0]
+            s = slots[origin[kind == c][:, None] + f.ref[0], f.ref[1]]
+            level.append((f, s))
+            fill += len(s) * f.m * (f.m + 1 + 2 * (s.shape[1] - f.m))
+        factor.append(level)
+        below_origin, below_key = origin, key
+    return factor[::-1], fill
 
 
 def _direct_solver(system: LinearSystem) -> tuple[Callable[[FloatArray], tuple[FloatArray, int]], int]:
-    """Sparse LU with symmetric diagonal equilibration; returns the solver
-    and the fill (nonzeros of L plus U).
+    """:func:`_multifrontal_cholesky`'s factor and its triangular solves;
+    returns the solver and the fill.
 
-    Value and mixed-derivative DOFs scale like h^0 vs h^2, which alone costs
-    ~h^-4 in condition number at high degree; equilibrating by the diagonal
-    removes that spread.  SuperLU keeps :func:`_nested_dissection`'s order
-    and swaps a row only for an exactly zero pivot, so without a swap the
-    pivots are Cholesky's: all positive iff the matrix is SPD, up to roundoff.
+    Forward, deepest boxes first, each class gathers its boxes' eliminated
+    entries, applies M and scatters the update W^T z onto the interfaces;
+    backward, root first, it maps each box's front values to its eliminated
+    ones.  Python loops run over depths and classes only.
     """
-    from scipy.sparse.linalg import splu  # here: 9 MB, 0.05-0.065 s that verify and CG never use
-    A = system.matrix
-    s = 1.0 / np.sqrt(_positive_diagonal(A))
-    p = _nested_dissection(system)
-    q = np.argsort(p).astype(A.indices.dtype)  # old -> new
-    B = scipy.sparse.csr_matrix((A.data * np.repeat(s, np.diff(A.indptr)) * s[A.indices],
-                                 A.indices, A.indptr), shape=A.shape)[p]  # rows moved
-    B = scipy.sparse.csr_matrix((B.data, q[B.indices], B.indptr), shape=A.shape).tocsc()
-    s = s[p]
-    try:
-        lu = splu(B, permc_spec="NATURAL", diag_pivot_thresh=0.0,
-                  options={"SymmetricMode": True})
-    except RuntimeError as err:  # exactly singular
-        raise NotSPD(str(err)) from err
-    if not (np.array_equal(lu.perm_r, lu.perm_c) and np.all(lu.U.diagonal() > 0.0)):
-        raise NotSPD("nonpositive pivot")
-    return (lambda r: ((s * lu.solve(s * r[p]))[q], 1)), lu.L.nnz + lu.U.nnz
+    factor, fill = _multifrontal_cholesky(system)
+
+    def solve_ll(r: FloatArray) -> tuple[FloatArray, int]:
+        v = r.copy()
+        for level in reversed(factor):
+            for f, s in level:
+                z = v[s[:, :f.m]] @ f.inv_l.T
+                v[s[:, :f.m]] = z
+                v -= np.bincount(s[:, f.m:].ravel(), weights=(z @ f.w).ravel(),
+                                 minlength=len(v))
+        for level in factor:
+            for f, s in level:
+                v[s[:, :f.m]] = v[s] @ f.back
+        return v, 1
+
+    return solve_ll, fill
 
 
 def _element_block_preconditioner(system: LinearSystem) -> Callable[[FloatArray], FloatArray]:
@@ -377,8 +487,9 @@ def solve(system: LinearSystem, rel_tol: float = 1e-13,
           method: str = "direct") -> SolveResult:
     """Solve the reduced system; returns the expanded global coefficients.
 
-    method: "direct" (equilibrated sparse LU with Cholesky pivots; see
-    :func:`_direct_solver`) or "cg" (conjugate gradients preconditioned by
+    method: "direct" (nested-dissection Cholesky factored from
+    ``element_matrix`` on ``element_slots``; see :func:`_direct_solver`) or
+    "cg" (conjugate gradients preconditioned by
     element blocks, each solve to relative residual ``rel_tol`` within
     50 * dim iterations).  Both methods are refined on a long-double
     residual (see :func:`_refine`), so they return the solution of the
@@ -415,8 +526,12 @@ def evaluate_on_elements(
 
     ref_points: (npts, 2) coordinates on [0,1]^2, or None for the cached
     tabulation on :func:`reference_table`'s rule.  Returns (n_elements, npts),
-    or one row per entry of ``elements``.
+    or one row per entry of ``elements``.  ``coeffs`` must hold one value
+    per global DOF of ``dof_map``.
     """
+    coeffs = np.asarray(coeffs, dtype=float)
+    if coeffs.shape != (dof_map.total,):
+        raise ValueError(f"{coeffs.size} coefficients for {dof_map.total} global DOFs")
     h = mesh.h
     l2g = dof_map.local_to_global
     if elements is not None:
@@ -425,7 +540,7 @@ def evaluate_on_elements(
     scale = h ** (basis.deriv_orders - deriv[0] - deriv[1]).astype(float)
     vals = (reference_table(basis).tab[deriv] if ref_points is None
             else basis.tabulate(ref_points, deriv)) * scale
-    return np.asarray(coeffs, dtype=float)[l2g] @ vals.T
+    return coeffs[l2g] @ vals.T
 
 
 def evaluate_solution(

@@ -23,7 +23,7 @@ from . import assembly
 from .assembly import gauss_rule
 from .elements import (ElementBasis, Family, _pk_monomials, _qk_monomials,
                        element_basis, unisolvency_report)
-from .mesh import DofMap, RectMesh, build_dof_map, build_mesh, clamped_flags
+from .mesh import MAX_LEVEL, DofMap, RectMesh, build_dof_map, build_mesh, clamped_flags
 from .poly2d import FloatArray, functional_matrix
 
 
@@ -130,6 +130,9 @@ class StudyConfig:
             raise ValueError("degree must be between 4 and 8")
         if self.max_level < 1:
             raise ValueError("need at least one level")
+        if self.max_level > MAX_LEVEL:
+            raise ValueError(f"finest level must be at most {MAX_LEVEL}, "
+                             f"got {self.max_level}")
         if self.solver not in assembly.SOLVER_METHODS:
             raise ValueError(f"unknown solver {self.solver!r}")
         if not (math.isfinite(self.rel_tol) and self.rel_tol > 0.0):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.sparse
@@ -150,59 +152,35 @@ def _loop_assemble(mesh, dm, eb, f):
     matrix = scipy.sparse.coo_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(n, n)).tocsr()
-    return matrix, rhs
+    return matrix, rhs, elem_stiff
 
 
 @pytest.mark.parametrize("family,k", [(Family.ENRICHED_P, 8), (Family.BFS_Q, 6)])
 def test_assembly_matches_element_loop(family, k):
     f = exact_solution().f
     mesh, dm, eb, system = _system(family, k, 3, f)
-    matrix, rhs = _loop_assemble(mesh, dm, eb, f)
+    matrix, rhs, block = _loop_assemble(mesh, dm, eb, f)
+    assert np.array_equal(system.element_matrix, block)
     assert np.array_equal(system.matrix.indptr, matrix.indptr)
     assert np.array_equal(system.matrix.indices, matrix.indices)
     assert np.array_equal(system.matrix.data, matrix.data)
     assert np.max(np.abs(system.rhs - rhs)) <= 1e-14 * np.max(np.abs(rhs))
 
 
-def _record_splu(monkeypatch):
-    """Record every (matrix, keywords, factor) that the direct solver passes to
-    and gets from ``splu``."""
-    import scipy.sparse.linalg
-    splu, seen = scipy.sparse.linalg.splu, []
-
-    def recording(A, **kw):
-        seen.append((A, kw, splu(A, **kw)))
-        return seen[-1][2]
-
-    monkeypatch.setattr(scipy.sparse.linalg, "splu", recording)
-    return seen
-
-
-def test_equilibration_matches_broadcast_multiply(monkeypatch):
-    # the factored matrix is the broadcast-multiplied one with rows and
-    # columns moved into the nested-dissection order, value for value
-    seen = _record_splu(monkeypatch)
-    for family, k in ((Family.ENRICHED_P, 4), (Family.BFS_Q, 7)):
-        _, _, _, system = _system(family, k, 4, exact_solution().f)
-        solve(system)
-        A = system.matrix
-        s = 1.0 / np.sqrt(A.diagonal())
-        p = assembly._nested_dissection(system)
-        old = A.multiply(s[:, None]).multiply(s).tocsr()[p][:, p].tocsc()
-        new, kw, _ = seen.pop()
-        assert new.format == "csc"
-        assert kw["permc_spec"] == "NATURAL"
-        for name in ("indptr", "indices", "data"):
-            assert np.array_equal(getattr(new, name), getattr(old, name))
+def _eliminated(system):
+    """Free slots in the order the direct factor eliminates them, deepest
+    boxes first."""
+    factor, _ = assembly._multifrontal_cholesky(system)
+    return np.concatenate([s[:, :f.m].ravel() for level in factor[::-1] for f, s in level])
 
 
 @pytest.mark.parametrize("family", list(Family))
 @pytest.mark.parametrize("k", [4, 5, 6, 7, 8])
 def test_nested_dissection_is_a_permutation(family, k):
+    # every free slot is eliminated exactly once
     for level in (1, 2, 3, 4):
         _, _, _, system = _system(family, k, level, exact_solution().f)
-        p = assembly._nested_dissection(system)
-        assert np.array_equal(np.sort(p), np.arange(system.n_free))
+        assert np.array_equal(np.sort(_eliminated(system)), np.arange(system.n_free))
 
 
 def test_nested_dissection_of_relabelled_system():
@@ -212,17 +190,15 @@ def test_nested_dissection_of_relabelled_system():
         matrix=system.matrix, rhs=system.rhs, free_dofs=system.free_dofs,
         free_index=system.free_index, total=system.total,
         element_slots=np.where(system.element_slots >= 0,
-                               slot[system.element_slots], -1))
-    p = assembly._nested_dissection(relabelled)
-    assert np.array_equal(np.sort(p), np.arange(system.n_free))
+                               slot[system.element_slots], -1),
+        element_matrix=system.element_matrix)
+    assert np.array_equal(np.sort(_eliminated(relabelled)), np.arange(system.n_free))
 
 
 @pytest.mark.parametrize("family,k,level", [(Family.ENRICHED_P, 4, 4),
                                             (Family.BFS_Q, 5, 3)])
-def test_nested_dissection_top_split_decouples_halves(monkeypatch, family, k, level):
-    seen = _record_splu(monkeypatch)
+def test_nested_dissection_top_split_decouples_halves(family, k, level):
     mesh, _, _, system = _system(family, k, level, exact_solution().f)
-    solve(system)
     # halves of the first cut, x = 1/2, from the elements touching each slot
     slots = system.element_slots
     i = np.repeat(np.arange(mesh.n_elements) % mesh.n, slots.shape[1])
@@ -231,29 +207,70 @@ def test_nested_dissection_top_split_decouples_halves(monkeypatch, family, k, le
     free = slots.ravel() >= 0
     np.logical_and.at(left, slots.ravel()[free], i[free] < mesh.n // 2)
     np.logical_and.at(right, slots.ravel()[free], i[free] >= mesh.n // 2)
-    n1, n2 = left.sum(), right.sum()
-    assert 0 < n1 == n2 < system.n_free
-    p = assembly._nested_dissection(system)
-    assert np.all(left[p[:n1]]) and np.all(right[p[n1:n1 + n2]])
-    B, _, _ = seen.pop()
-    assert B[:n1, n1:n1 + n2].nnz == 0
-    assert B[n1:n1 + n2, :n1].nnz == 0
+    assert 0 < left.sum() == right.sum() < system.n_free
+    assert system.matrix[left][:, right].nnz == 0
+    # the root class is the one box, the whole grid, with no interface; it
+    # eliminates exactly the slots that touch both halves
+    factor, _ = assembly._multifrontal_cholesky(system)
+    (root, s), = factor[0]
+    assert s.shape == (1, root.m)
+    assert np.array_equal(np.sort(s[0]), np.flatnonzero(~left & ~right))
 
 
-def test_nested_dissection_of_one_element_is_identity():
-    system = LinearSystem(matrix=scipy.sparse.csr_matrix(np.eye(4)), rhs=np.ones(4),
+def _count_cholesky(monkeypatch):
+    calls = []
+    cholesky = np.linalg.cholesky
+
+    def counting(a):
+        calls.append(a.shape)
+        return cholesky(a)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counting)
+    return calls
+
+
+def test_nested_dissection_of_one_element_is_one_cholesky(monkeypatch):
+    calls = _count_cholesky(monkeypatch)
+    a = np.array([[4.0, 1.0, 0.0, 1.0], [1.0, 5.0, 2.0, 0.0],
+                  [0.0, 2.0, 6.0, 1.0], [1.0, 0.0, 1.0, 3.0]])
+    system = LinearSystem(matrix=scipy.sparse.csr_matrix(a), rhs=np.ones(4),
                           free_dofs=np.arange(4), free_index=np.arange(4), total=4,
-                          element_slots=np.arange(4)[None, :])
-    assert np.array_equal(assembly._nested_dissection(system), np.arange(4))
+                          element_slots=np.arange(4)[None, :], element_matrix=a)
+    result = solve(system)
+    assert calls == [(4, 4)]
+    assert np.max(np.abs(result.coeffs - np.linalg.solve(a, np.ones(4)))) < 1e-15
+    assert result.fill == 2 * 10
 
 
-def test_factor_keeps_the_nested_dissection_order(monkeypatch):
-    seen = _record_splu(monkeypatch)
-    _, _, _, system = _system(Family.BFS_Q, 6, 3, exact_solution().f)
-    solve(system)
-    _, _, lu = seen.pop()
-    assert np.array_equal(lu.perm_c, np.arange(system.n_free))
-    assert np.array_equal(lu.perm_r, np.arange(system.n_free))
+@pytest.mark.parametrize("k,fill", [(4, 964_756), (5, 2_120_020)])
+def test_direct_fill_at_level_6(k, fill):
+    # 2 nnz(L), as SuperLU's L plus U counted it for the same order
+    _, _, _, system = _system(Family.ENRICHED_P, k, 6, exact_solution().f)
+    assert solve(system).fill == fill
+
+
+@pytest.mark.parametrize("family,k", [(Family.ENRICHED_P, 4), (Family.BFS_Q, 8)])
+def test_direct_factors_one_front_per_class(monkeypatch, family, k):
+    # level 5: 511 boxes on 9 depths, at most 9 classes on a depth
+    _, _, _, system = _system(family, k, 5, exact_solution().f)
+    calls = _count_cholesky(monkeypatch)
+    factor, _ = assembly._multifrontal_cholesky(system)
+    assert sum(len(s) for level in factor for _, s in level) == 511
+    assert len(factor) == 9 and max(len(level) for level in factor) == 9
+    assert len(calls) <= 9 * len(factor)
+
+
+@pytest.mark.parametrize("family", list(Family))
+@pytest.mark.parametrize("n", [3, 6])
+def test_direct_solve_on_unequal_halves(family, n):
+    # n not a power of two: the bisections leave halves of unequal width
+    eb = element_basis(family, 4)
+    mesh = RectMesh(n)
+    dm = clamped_flags(mesh, build_dof_map(mesh, eb))
+    system = assembly.assemble(mesh, dm, eb, exact_solution().f)
+    x = solve(system).coeffs[system.free_dofs]
+    y = np.linalg.solve(system.matrix.toarray(), system.rhs)
+    assert np.max(np.abs(x - y)) <= 1e-10 * np.max(np.abs(y))
 
 
 def test_evaluate_solution_caches_nothing(rng):
@@ -282,7 +299,8 @@ def test_single_unknown_system():
     matrix = scipy.sparse.csr_matrix(np.array([[4.0]]))
     system = LinearSystem(matrix=matrix, rhs=np.array([2.0]),
                           free_dofs=np.array([0]), free_index=np.array([0]),
-                          total=1, element_slots=np.array([[0]]))
+                          total=1, element_slots=np.array([[0]]),
+                          element_matrix=matrix.toarray())
     result = solve(system, method="cg")
     assert result.coeffs[0] == pytest.approx(0.5, rel=1e-13)
 
@@ -319,7 +337,8 @@ def test_direct_solution_independent_of_ordering():
         free_index=np.where(system.free_index >= 0, slot[system.free_index], -1),
         total=system.total,
         element_slots=np.where(system.element_slots >= 0,
-                               slot[system.element_slots], -1))
+                               slot[system.element_slots], -1),
+        element_matrix=system.element_matrix)
     a = solve(system, method="direct").coeffs
     b = solve(permuted, method="direct").coeffs
     assert np.max(np.abs(a - b)) <= 1e-10 * np.max(np.abs(a))
@@ -343,8 +362,8 @@ def test_not_converged_reports_iterations():
 @pytest.mark.parametrize("matrix", [
     [[1.0, 2.0], [2.0, 1.0]],  # positive diagonal, eigenvalues -1 and 3
     [[1.0, 0.0], [0.0, 0.0]],  # zero diagonal entry
-    # indefinite; an exactly zero pivot makes the LU swap rows, after which
-    # every pivot is positive
+    # indefinite; an LU that swaps rows at the exactly zero pivot then
+    # meets only positive pivots
     [[1.0, 1.0, -1.0, 1.0], [1.0, 2.0, 0.0, 0.0],
      [-1.0, 0.0, 2.0, -1.0], [1.0, 0.0, -1.0, 2.0]],
 ])
@@ -353,9 +372,19 @@ def test_direct_rejects_indefinite_system(matrix):
     system = LinearSystem(matrix=scipy.sparse.csr_matrix(np.array(matrix)),
                           rhs=np.ones(n), free_dofs=np.arange(n),
                           free_index=np.arange(n), total=n,
-                          element_slots=np.arange(n)[None, :])
+                          element_slots=np.arange(n)[None, :],
+                          element_matrix=np.array(matrix))
     with pytest.raises(NotSPD):
         solve(system, method="direct")
+
+
+def test_direct_rejects_indefinite_element_block():
+    # the element block minus half its diagonal is indefinite; p-enriched k=4
+    # eliminates nothing in single elements, so a larger box's front fails
+    _, _, _, system = _system(Family.ENRICHED_P, 4, 3, exact_solution().f)
+    block = system.element_matrix - 0.5 * np.diag(np.diag(system.element_matrix))
+    with pytest.raises(NotSPD):
+        solve(replace(system, element_matrix=block))
 
 
 def test_evaluate_solution_reproduces_linear(rng):
@@ -404,6 +433,20 @@ def test_evaluate_solution_rejects_unknown_element(element):
     dm = build_dof_map(mesh, eb)
     with pytest.raises(ValueError, match="outside 0..3"):
         evaluate_solution(mesh, dm, eb, np.ones(dm.total), 0.25, 0.25, element=element)
+
+
+@pytest.mark.parametrize("extra", [-1, 1])
+def test_evaluation_rejects_coefficients_of_wrong_length(extra):
+    # a short vector raised a bare IndexError; a long one was cut silently
+    eb = element_basis(Family.ENRICHED_P, 4)
+    mesh = build_mesh(2)
+    dm = build_dof_map(mesh, eb)
+    coeffs = np.ones(dm.total + extra)
+    message = f"{dm.total + extra} coefficients for {dm.total} global DOFs"
+    with pytest.raises(ValueError, match=message):
+        assembly.evaluate_on_elements(mesh, dm, eb, coeffs, None)
+    with pytest.raises(ValueError, match=message):
+        evaluate_solution(mesh, dm, eb, coeffs, 0.25, 0.25)
 
 
 def test_evaluate_solution_out_of_domain():

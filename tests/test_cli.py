@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import c1rect
 from c1rect import study
 from c1rect.cli import main
 from c1rect.study import CSV_COLUMNS, parse_csv
@@ -41,6 +46,24 @@ def test_study_solver_flag(capsys):
     assert code == 0
     assert payload["meta"]["levels"][1]["method"] == "cg"
     assert payload["meta"]["levels"][1]["fill"] == 0
+
+
+def test_study_imports_no_scipy_linear_algebra():
+    # a fresh interpreter: importing scipy.sparse.linalg (and with it
+    # scipy.linalg) cost about 0.1 s of a study that never used them
+    script = ("import io, contextlib, sys\n"
+              "from c1rect.cli import main\n"
+              "with contextlib.redirect_stdout(io.StringIO()):\n"
+              "    code = main(['study', '--family', 'p-enriched', '--k', '4', '--levels', '3'])\n"
+              "print(code, sorted(m for m in ('scipy.linalg', 'scipy.sparse.linalg')\n"
+              "                   if m in sys.modules))\n")
+    src = str(Path(c1rect.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["0", "[]"]
 
 
 def test_verify_text(capsys):

@@ -9,7 +9,7 @@ import pytest
 from c1rect import assembly
 from c1rect import elements
 from c1rect.elements import ElementBasis, Family, element_basis
-from c1rect.mesh import RectMesh, build_dof_map, build_mesh, clamped_flags
+from c1rect.mesh import MAX_LEVEL, RectMesh, build_dof_map, build_mesh, clamped_flags
 from c1rect.poly2d import _differentiate, monomials, polyval
 from c1rect.study import (
     StudyConfig,
@@ -246,6 +246,9 @@ def test_config_validation():
         StudyConfig(family=Family.ENRICHED_P, k=3, max_level=2)
     with pytest.raises(ValueError):
         StudyConfig(family=Family.ENRICHED_P, k=4, max_level=0)
+    # rejected before any level is solved, not when build_mesh reaches it
+    with pytest.raises(ValueError, match=f"at most {MAX_LEVEL}"):
+        StudyConfig(family=Family.ENRICHED_P, k=4, max_level=MAX_LEVEL + 1)
 
 
 @pytest.mark.parametrize("solver", ["lu", "Direct", "", "auto"])
