@@ -1,6 +1,6 @@
-"""Print digests of element data, DOF maps and level-3 systems, and the study
-rows of the benchmark's cases, to check that a change leaves them
-bit-identical.
+"""Print digests of element data, DOF maps and level-3 systems (element
+block, element slots and load), and the study rows of the benchmark's cases,
+to check that a change leaves them bit-identical.
 
 Run each checkout's own copy on its own ``src`` and compare the outputs:
 
@@ -58,8 +58,8 @@ for family in Family:
                   digest(*(getattr(dm, name) for name in DOF_MAP_FIELDS)))
             if level == 3:
                 system = assemble(mesh, dm, eb, exact_solution().f)
-                m = system.matrix
-                print("  level 3 system", digest(m.indptr, m.indices, m.data, system.rhs))
+                print("  level 3 system", digest(system.element_matrix,
+                                                 system.element_slots, system.rhs))
         print("  verify", [(c.name, repr(c.value)) for c in verify(family, k, 3)])
 
 # p-enriched k=4, 5 to level 6 and both families k=6..8 to level 4

@@ -10,16 +10,17 @@ h^(d_x + d_y).  On a uniform mesh every element shares the scaled reference
 stiffness block and one tabulation per evaluation, so assembly and
 evaluation are array operations over (element, local DOF), and the direct
 solver factors one front per class of nested-dissection boxes, not per box.
+That block, in long double, and the element slots are the operator: it is
+applied matrix-free (:func:`_apply`) and assembled only for CG.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable
 
 import numpy as np
-import scipy.sparse
 
 from .elements import ElementBasis
 from .mesh import DofMap, RectMesh
@@ -74,29 +75,42 @@ def gauss_rule(m: int) -> QuadratureRule:
 
 @dataclass(eq=False)
 class LinearSystem:
-    """Reduced SPD system over the free (unconstrained) DOFs."""
+    """Reduced SPD system over the free (unconstrained) DOFs: the sum over
+    elements of ``element_matrix`` on each element's ``element_slots``."""
 
-    matrix: scipy.sparse.csr_matrix
     rhs: FloatArray
     free_dofs: np.ndarray    # free slot -> global DOF
-    free_index: np.ndarray   # global DOF -> free slot, -1 if constrained
     total: int               # global DOF count including constrained
     #: (element, local DOF) -> free slot, -1 if constrained; the blocks of the
     #: CG preconditioner and the boxes of the direct factor
     element_slots: np.ndarray
-    #: (dim, dim) block every element adds on its slots; the direct factor's input
-    element_matrix: FloatArray
+    #: (dim, dim) block every element adds on its slots; long double from
+    #: :func:`assemble`
+    element_matrix: np.ndarray
 
     @property
     def n_free(self) -> int:
         return len(self.free_dofs)
+
+    @cached_property
+    def matrix(self):
+        """Assembled float64 CSR, built on first use (CG reads it): free slot pairs
+        in element-major, row-major order, summed as a per-element loop would."""
+        from scipy.sparse import coo_matrix
+        slots = self.element_slots
+        keep = slots >= 0
+        pairs = keep[:, :, None] & keep[:, None, :]
+        rows = np.broadcast_to(slots[:, :, None], pairs.shape)[pairs]
+        cols = np.broadcast_to(slots[:, None, :], pairs.shape)[pairs]
+        vals = np.broadcast_to(self.element_matrix.astype(float), pairs.shape)[pairs]
+        return coo_matrix((vals, (rows, cols)), shape=(self.n_free,) * 2).tocsr()
 
 
 @dataclass(frozen=True, eq=False)
 class ReferenceTable:
     """Level-invariant data of one element basis on [0,1]^2."""
 
-    stiff: FloatArray     # (dim, dim) stiffness of (lap u, lap v)
+    stiff: np.ndarray     # (dim, dim) stiffness of (lap u, lap v), long double
     quad: QuadratureRule  # the rule of the load and the error norms
     tab: dict[tuple[int, int], FloatArray]  # (deriv_x, deriv_y) -> (npts, dim) on quad
 
@@ -106,11 +120,13 @@ def reference_table(basis: ElementBasis) -> ReferenceTable:
     """Built once per basis (the bases themselves are cached singletons).
 
     k+1 Gauss points per direction integrate the bidegree <= 2k stiffness
-    exactly; k+6 are enough for the trigonometric data.
+    exactly; k+6 are enough for the trigonometric data.  The stiffness is
+    formed in long double from the float64 nodal stack, points and weights.
     """
     qs, ql = gauss_rule(basis.k + 1), gauss_rule(basis.k + 6)
-    lap = basis.tabulate(qs.points, (2, 0)) + basis.tabulate(qs.points, (0, 2))
-    table = ReferenceTable(stiff=(lap * qs.weights[:, None]).T @ lap, quad=ql, tab={
+    points, weights = qs.points.astype(np.longdouble), qs.weights.astype(np.longdouble)
+    lap = basis.tabulate(points, (2, 0)) + basis.tabulate(points, (0, 2))
+    table = ReferenceTable(stiff=(lap * weights[:, None]).T @ lap, quad=ql, tab={
         d: basis.tabulate(ql.points, d) for d in ((0, 0), (2, 0), (1, 1), (0, 2))})
     for a in (table.stiff, *table.tab.values()):
         a.setflags(write=False)
@@ -139,7 +155,8 @@ def assemble(
 
     ``f`` must accept broadcastable arrays (:func:`on_quadrature_grid`).
     Constrained rows and columns are eliminated (homogeneous data, so no
-    right-hand-side correction).
+    right-hand-side correction).  The long-double element block scales the
+    reference stiffness exactly where h is a power of two, as on every level.
     """
     if dof_map.local_to_global.shape[1] != basis.dim:
         raise DimensionMismatch(
@@ -154,25 +171,13 @@ def assemble(
     free_index = -np.ones(dof_map.total, dtype=np.int64)
     free_dofs = np.flatnonzero(~dof_map.is_boundary)
     free_index[free_dofs] = np.arange(len(free_dofs))
-
-    # (element, local) slots; pairs of free slots in element-major, row-major
-    # order, so duplicate entries are summed exactly as a per-element loop would
     fslots = free_index[dof_map.local_to_global]
     keep = fslots >= 0
-    pairs = keep[:, :, None] & keep[:, None, :]
-    shape = pairs.shape
-    rows = np.broadcast_to(fslots[:, :, None], shape)[pairs]
-    cols = np.broadcast_to(fslots[:, None, :], shape)[pairs]
-    vals = np.broadcast_to(elem_stiff, shape)[pairs]
 
     fq = on_quadrature_grid(f, mesh, table.quad)
     load = load_scale * ((fq * table.quad.weights) @ table.tab[(0, 0)])
     rhs = np.bincount(fslots[keep], weights=load[keep], minlength=len(free_dofs))
-
-    n = len(free_dofs)
-    matrix = scipy.sparse.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
-    return LinearSystem(matrix=matrix, rhs=rhs, free_dofs=free_dofs,
-                        free_index=free_index, total=dof_map.total,
+    return LinearSystem(rhs=rhs, free_dofs=free_dofs, total=dof_map.total,
                         element_slots=fslots, element_matrix=elem_stiff)
 
 
@@ -194,11 +199,12 @@ def _expand(system: LinearSystem, x: FloatArray) -> FloatArray:
     return full
 
 
-def _positive_diagonal(matrix: scipy.sparse.csr_matrix) -> FloatArray:
-    d = matrix.diagonal()
-    if np.any(~(d > 0.0)):
-        raise NotSPD("nonpositive diagonal entry")
-    return d
+def _apply(slots: np.ndarray, block: np.ndarray, x: FloatArray) -> np.ndarray:
+    """A x in the dtype of ``block``, unassembled: gather x on every element's
+    slots, multiply by the block, scatter-add; slot -1 is a padded last entry."""
+    y = np.zeros(len(x) + 1, dtype=block.dtype)
+    np.add.at(y, slots, np.append(x, 0.0).astype(block.dtype)[slots] @ block)
+    return y[:-1]
 
 
 def _dissection(n: int) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
@@ -259,17 +265,16 @@ def _inverse_cholesky(a: FloatArray) -> FloatArray:
     return out
 
 
-def _front(system: LinearSystem, touching: np.ndarray, origin: int,
+def _front(slots: np.ndarray, block: FloatArray, touching: np.ndarray, origin: int,
            halves: list[tuple[_Front, FloatArray, int]] | None) -> tuple[_Front, FloatArray]:
     """Factor the front of the box whose first element is ``origin``; returns
     it and the (q, q) Schur complement F22 - W^T W left on its interface.
 
-    A single element (``halves`` None) has the element block on its free
-    slots as its front; a larger box sums the Schur complements of its halves,
-    given with their first elements' offsets.  A DOF is eliminated in the
-    smallest box that holds all ``touching[slot]`` elements touching it.
+    A single element (``halves`` None) has ``block`` on its free slots as
+    its front; a larger box sums the Schur complements of its halves, given
+    with their first elements' offsets.  A DOF is eliminated in the smallest
+    box that holds all ``touching[slot]`` elements touching it.
     """
-    slots = system.element_slots
     if halves is None:
         local = np.flatnonzero(slots[origin] >= 0)
         ref, occ = np.stack([np.zeros_like(local), local]), np.ones(len(local))
@@ -284,7 +289,7 @@ def _front(system: LinearSystem, touching: np.ndarray, origin: int,
     order = np.argsort(~inner, kind="stable")
     m = int(np.count_nonzero(inner))
     if halves is None:
-        F = system.element_matrix[np.ix_(local[order], local[order])]
+        F = block[np.ix_(local[order], local[order])]
     else:  # each half's interface DOFs as rows of F, summed by flat index
         (_, s0, _), (_, s1, _) = halves
         r0, r1 = np.split(np.argsort(order)[at], [len(s0)])
@@ -307,13 +312,14 @@ def _multifrontal_cholesky(system: LinearSystem) -> tuple[list[list[tuple[_Front
     """Multifrontal Cholesky (Duff & Reid, ACM TOMS 9, 1983) in the order of
     :func:`_dissection`, down to single elements.
 
-    On the uniform grid every element carries ``system.element_matrix`` and
-    the boxes of one class see the same slot pattern, so each class's front
-    is factored once, bottom-up.  Returns, per depth from the root, each
-    class's front and its boxes' (boxes, m + q) front slots, and the fill
-    2 nnz(L): the count of L plus U of an LU in this order.
+    On the uniform grid every element carries ``system.element_matrix``,
+    rounded to float64 once here, and the boxes of one class see the same
+    slot pattern, so each class's front is factored once, bottom-up.
+    Returns, per depth from the root, each class's front and its boxes'
+    (boxes, m + q) front slots, and the fill 2 nnz(L): the count of L plus U
+    of an LU in this order.
     """
-    slots = system.element_slots
+    slots, block = system.element_slots, system.element_matrix.astype(float)
     n = round(len(slots) ** 0.5)
     touching = np.bincount(slots[slots >= 0], minlength=system.n_free)
     fronts: dict[int, tuple[_Front, FloatArray]] = {}  # and the Schur complement
@@ -327,7 +333,7 @@ def _multifrontal_cholesky(system: LinearSystem) -> tuple[list[list[tuple[_Front
             if key[b] not in fronts:
                 halves = None if half_cols[0, b] < 0 else [
                     (*fronts[below_key[j]], below_origin[j] - origin[b]) for j in half_cols[:, b]]
-                fronts[key[b]] = _front(system, touching, origin[b], halves)
+                fronts[key[b]] = _front(slots, block, touching, origin[b], halves)
             f = fronts[key[b]][0]
             s = slots[origin[kind == c][:, None] + f.ref[0], f.ref[1]]
             level.append((f, s))
@@ -368,15 +374,15 @@ def _element_block_preconditioner(system: LinearSystem) -> Callable[[FloatArray]
     """Additive Schwarz over elements: r -> sum_e R_e^T A_ee^-1 R_e r.
 
     A_ee is the assembled matrix restricted to element e's free DOFs, padded
-    with the identity on its constrained slots and inverted after diagonal
-    equilibration.  Only local blocks enter, never the global factorization,
-    so CG stays an independent check of the direct solve.  On a uniform mesh
-    most elements share their block, so each distinct block is inverted once
-    and applied to all of its elements in one product.
+    with the identity on its constrained slots, equilibrated and inverted by
+    Cholesky; a nonpositive diagonal or pivot raises :class:`NotSPD`.  Only
+    local blocks enter, never the global factorization, so CG stays an
+    independent check of the direct solve.  On a uniform mesh most elements
+    share their block, so each distinct block is inverted once and applied to
+    all of its elements in one product.
     """
     A = system.matrix
     n = system.n_free
-    _positive_diagonal(A)
     slots = system.element_slots
     free = slots >= 0
     idx = np.where(free, slots, n)  # constrained slots gather a padded zero
@@ -391,9 +397,16 @@ def _element_block_preconditioner(system: LinearSystem) -> Callable[[FloatArray]
     distinct, kind = np.unique(blocks.reshape(len(blocks), -1), axis=0,
                                return_inverse=True)
     distinct = distinct.reshape(-1, *blocks.shape[1:])
-    s = 1.0 / np.sqrt(np.diagonal(distinct, axis1=1, axis2=2))
+    d = np.diagonal(distinct, axis1=1, axis2=2)
+    if not np.all(d > 0.0):
+        raise NotSPD("nonpositive diagonal entry")
+    s = 1.0 / np.sqrt(d)
     ss = s[:, :, None] * s[:, None, :]
-    inv = np.linalg.inv(distinct * ss) * ss
+    try:
+        inv_l = np.linalg.inv(np.linalg.cholesky(distinct * ss))
+    except np.linalg.LinAlgError as err:
+        raise NotSPD(f"indefinite element block ({err})") from err
+    inv = (inv_l.transpose(0, 2, 1) @ inv_l) * ss
     inv = 0.5 * (inv + inv.transpose(0, 2, 1))
     by_kind = idx[np.argsort(kind, kind="stable")]
     groups = np.split(by_kind, np.cumsum(np.bincount(kind))[:-1])
@@ -454,20 +467,18 @@ def _pcg_solver(system: LinearSystem, rel_tol: float) -> Callable[[FloatArray], 
 def _refine(system: LinearSystem,
             correction: Callable[[FloatArray], tuple[FloatArray, int]],
             ) -> tuple[FloatArray, int, float]:
-    """Iterative refinement on a long-double residual.
+    """Iterative refinement on a residual in the element block's precision.
 
     Starting from x = 0, each step solves A d = r in float64 with
-    ``correction`` for r = b - A x evaluated in ``np.longdouble``, and adds d.
+    ``correction`` for r = b - A x, evaluated by :func:`_apply` in the dtype
+    of ``element_matrix`` (long double from :func:`assemble`), and adds d.
     It stops when d is below one ulp of max |x|, or when d stops shrinking
     (more than half the previous step; that step is not applied).  Returns
     x, the summed count of ``correction``, and the relative residual of x.
     """
-    A = system.matrix.astype(np.longdouble)
-    b = system.rhs.astype(np.longdouble)
-    x = np.zeros(system.n_free)
-    r = b
-    count = 0
-    last = np.inf
+    slots, block = system.element_slots, system.element_matrix
+    b = system.rhs.astype(block.dtype)
+    x, r, count, last = np.zeros(system.n_free), b, 0, np.inf
     while True:
         d, c = correction(r.astype(float))
         count += c
@@ -475,7 +486,7 @@ def _refine(system: LinearSystem,
         if not step <= 0.5 * last:  # stopped shrinking, or not finite
             break
         x += d
-        r = b - A @ x
+        r = b - _apply(slots, block, x)
         last = step
         if step <= np.finfo(float).eps * np.max(np.abs(x)):
             break
@@ -489,13 +500,13 @@ def solve(system: LinearSystem, rel_tol: float = 1e-13,
 
     method: "direct" (nested-dissection Cholesky factored from
     ``element_matrix`` on ``element_slots``; see :func:`_direct_solver`) or
-    "cg" (conjugate gradients preconditioned by
+    "cg" (conjugate gradients on the assembled ``matrix``, preconditioned by
     element blocks, each solve to relative residual ``rel_tol`` within
-    50 * dim iterations).  Both methods are refined on a long-double
-    residual (see :func:`_refine`), so they return the solution of the
-    stored system up to its conditioning times the long-double unit
-    roundoff; where ``np.longdouble`` is float64, not below float64
-    accuracy.  ``iterations`` counts every CG iteration, or every
+    50 * dim iterations).  Both methods are refined on a matrix-free
+    long-double residual (see :func:`_refine`), so they return the solution
+    of the long-double operator up to its conditioning times the
+    long-double unit roundoff; where ``np.longdouble`` is float64, not below
+    float64 accuracy.  ``iterations`` counts every CG iteration, or every
     triangular solve pair of the direct method; ``residual`` is the
     long-double relative residual of the returned coefficients.  A
     nonpositive pivot or CG curvature raises :class:`NotSPD`.

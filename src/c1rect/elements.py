@@ -55,15 +55,9 @@ N_VERTEX_DOFS = len(VERTICES) * len(VERTEX_KINDS)
 
 def edge_point(edge: int, t: float) -> tuple[float, float]:
     """Reference coordinates of parameter t in [0,1] along an edge."""
-    if edge == 0:
-        return (t, 0.0)
-    if edge == 1:
-        return (1.0, t)
-    if edge == 2:
-        return (t, 1.0)
-    if edge == 3:
-        return (0.0, t)
-    raise ValueError(f"edge index {edge} out of range")
+    if edge not in range(4):
+        raise ValueError(f"edge index {edge} out of range")
+    return ((t, 0.0), (1.0, t), (t, 1.0), (0.0, t))[edge]
 
 
 class ElementBasis:
@@ -109,9 +103,10 @@ class ElementBasis:
     def tabulate(self, points: FloatArray, deriv: tuple[int, int] = (0, 0)) -> FloatArray:
         """Values of the (deriv_x, deriv_y) derivative of every nodal function.
 
-        points: (npts, 2) reference coordinates.  Returns (npts, dim).
+        points: (npts, 2) reference coordinates.  Returns (npts, dim), in
+        the dtype of ``points``.
         """
-        stack = _differentiate(self.nodal, *deriv)
+        stack = _differentiate(self.nodal.astype(points.dtype), *deriv)
         u = 2.0 * points[:, 0] - 1.0
         v = 2.0 * points[:, 1] - 1.0
         U = u[:, None] ** np.arange(stack.shape[1])
@@ -191,10 +186,7 @@ def bfs_element(k: int) -> ElementBasis:
 
 
 def element_basis(family: Family, k: int) -> ElementBasis:
-    family = Family(family)
-    if family is Family.ENRICHED_P:
-        return enriched_nodal_basis(k)
-    return bfs_element(k)
+    return enriched_nodal_basis(k) if Family(family) is Family.ENRICHED_P else bfs_element(k)
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,7 @@ from dataclasses import asdict, dataclass, field
 from typing import Callable
 
 import numpy as np
+from numpy.random import default_rng
 
 from . import assembly
 from .assembly import gauss_rule
@@ -199,16 +200,12 @@ def run_study(config: StudyConfig) -> StudyReport:
         level_meta.append({"level": level, "method": result.method,
                            "iterations": result.iterations,
                            "residual": result.residual,
-                           "free_dofs": system.n_free,
-                           "nnz": system.matrix.nnz, "fill": result.fill,
+                           "free_dofs": system.n_free, "fill": result.fill,
                            "dof_map_s": t1 - t0, "assemble_s": t2 - t1,
                            "solve_s": t3 - t2, "errors_s": t4 - t3})
-    meta = {
-        "quad_stiffness_points": config.k + 1,
-        "quad_load_points": config.k + 6,
-        "levels": level_meta,
-    }
-    return StudyReport(config=config, rows=rows, meta=meta)
+    return StudyReport(config=config, rows=rows, meta={
+        "quad_stiffness_points": config.k + 1, "quad_load_points": config.k + 6,
+        "levels": level_meta})
 
 
 # ---------------------------------------------------------------------------
@@ -360,7 +357,7 @@ def verify(family: Family, k: int, level: int) -> list[Check]:
     checks.append(Check("unisolvency_rcond", rep.rcond > 1e-12, rep.rcond, 1e-12,
                         note="pass when above threshold"))
 
-    rng = np.random.default_rng(2024)
+    rng = default_rng(2024)
     rerr = _space_reproduction(basis, rng)
     checks.append(Check("space_reproduction", rerr < 1e-9, rerr, 1e-9))
 

@@ -124,12 +124,14 @@ def test_stiffness_symmetry_and_definiteness():
 
 
 def _loop_assemble(mesh, dm, eb, f):
-    """Per-element loop assembly: the reference for the array pipeline."""
+    """Per-element loop assembly: the reference for the array pipeline.  The
+    element block is formed in long double, the CSR from it rounded."""
     qs = gauss_rule(eb.k + 1)
     ql = gauss_rule(eb.k + 6)
     h = mesh.h
-    lap = eb.tabulate(qs.points, (2, 0)) + eb.tabulate(qs.points, (0, 2))
-    ref_stiff = (lap * qs.weights[:, None]).T @ lap
+    points, weights = qs.points.astype(np.longdouble), qs.weights.astype(np.longdouble)
+    lap = eb.tabulate(points, (2, 0)) + eb.tabulate(points, (0, 2))
+    ref_stiff = (lap * weights[:, None]).T @ lap
     scale = h ** eb.deriv_orders.astype(float)
     elem_stiff = ref_stiff * np.outer(scale, scale) / h**2
     load_vals = eb.tabulate(ql.points, (0, 0))
@@ -143,7 +145,7 @@ def _loop_assemble(mesh, dm, eb, f):
         ii = np.flatnonzero(fslots >= 0)
         rows.append(np.repeat(fslots[ii], ii.size))
         cols.append(np.tile(fslots[ii], ii.size))
-        vals.append(elem_stiff[np.ix_(ii, ii)].ravel())
+        vals.append(elem_stiff[np.ix_(ii, ii)].astype(float).ravel())
         x0, y0 = mesh.element_corner(e)
         fq = f(x0 + h * ql.points[:, 0], y0 + h * ql.points[:, 1])
         be = scale * h**2 * (load_vals.T @ (ql.weights * fq))
@@ -167,6 +169,27 @@ def test_assembly_matches_element_loop(family, k):
     assert np.max(np.abs(system.rhs - rhs)) <= 1e-14 * np.max(np.abs(rhs))
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+@pytest.mark.parametrize("family,k", [(Family.ENRICHED_P, 8), (Family.BFS_Q, 6)])
+def test_matrix_free_product_matches_element_loop(family, k, dtype, rng):
+    f = exact_solution().f
+    mesh, dm, eb, system = _system(family, k, 3, f)
+    matrix, _, _ = _loop_assemble(mesh, dm, eb, f)
+    x = rng.standard_normal(system.n_free)
+    y = assembly._apply(system.element_slots, system.element_matrix.astype(dtype), x)
+    assert y.dtype == dtype
+    ref = matrix @ x
+    assert np.max(np.abs(y - ref)) <= 1e-15 * np.max(np.abs(ref))
+
+
+def test_direct_solve_builds_no_matrix():
+    _, _, _, system = _system(Family.ENRICHED_P, 4, 3, exact_solution().f)
+    solve(system)
+    assert "matrix" not in vars(system)
+    solve(system, method="cg")
+    assert "matrix" in vars(system)
+
+
 def _eliminated(system):
     """Free slots in the order the direct factor eliminates them, deepest
     boxes first."""
@@ -187,8 +210,7 @@ def test_nested_dissection_of_relabelled_system():
     _, _, _, system = _system(Family.ENRICHED_P, 8, 3, exact_solution().f)
     slot = np.random.default_rng(0).permutation(system.n_free)
     relabelled = LinearSystem(
-        matrix=system.matrix, rhs=system.rhs, free_dofs=system.free_dofs,
-        free_index=system.free_index, total=system.total,
+        rhs=system.rhs, free_dofs=system.free_dofs, total=system.total,
         element_slots=np.where(system.element_slots >= 0,
                                slot[system.element_slots], -1),
         element_matrix=system.element_matrix)
@@ -233,8 +255,7 @@ def test_nested_dissection_of_one_element_is_one_cholesky(monkeypatch):
     calls = _count_cholesky(monkeypatch)
     a = np.array([[4.0, 1.0, 0.0, 1.0], [1.0, 5.0, 2.0, 0.0],
                   [0.0, 2.0, 6.0, 1.0], [1.0, 0.0, 1.0, 3.0]])
-    system = LinearSystem(matrix=scipy.sparse.csr_matrix(a), rhs=np.ones(4),
-                          free_dofs=np.arange(4), free_index=np.arange(4), total=4,
+    system = LinearSystem(rhs=np.ones(4), free_dofs=np.arange(4), total=4,
                           element_slots=np.arange(4)[None, :], element_matrix=a)
     result = solve(system)
     assert calls == [(4, 4)]
@@ -296,11 +317,8 @@ def test_polynomial_patch_test(family, k, rng):
 
 
 def test_single_unknown_system():
-    matrix = scipy.sparse.csr_matrix(np.array([[4.0]]))
-    system = LinearSystem(matrix=matrix, rhs=np.array([2.0]),
-                          free_dofs=np.array([0]), free_index=np.array([0]),
-                          total=1, element_slots=np.array([[0]]),
-                          element_matrix=matrix.toarray())
+    system = LinearSystem(rhs=np.array([2.0]), free_dofs=np.array([0]), total=1,
+                          element_slots=np.array([[0]]), element_matrix=np.array([[4.0]]))
     result = solve(system, method="cg")
     assert result.coeffs[0] == pytest.approx(0.5, rel=1e-13)
 
@@ -332,10 +350,7 @@ def test_direct_solution_independent_of_ordering():
     slot = np.empty(n, dtype=np.int64)
     slot[perm] = np.arange(n)
     permuted = LinearSystem(
-        matrix=system.matrix[perm][:, perm].tocsr(), rhs=system.rhs[perm],
-        free_dofs=system.free_dofs[perm],
-        free_index=np.where(system.free_index >= 0, slot[system.free_index], -1),
-        total=system.total,
+        rhs=system.rhs[perm], free_dofs=system.free_dofs[perm], total=system.total,
         element_slots=np.where(system.element_slots >= 0,
                                slot[system.element_slots], -1),
         element_matrix=system.element_matrix)
@@ -368,14 +383,14 @@ def test_not_converged_reports_iterations():
      [-1.0, 0.0, 2.0, -1.0], [1.0, 0.0, -1.0, 2.0]],
 ])
 def test_direct_rejects_indefinite_system(matrix):
+    # CG too: its preconditioner factors the one element block
     n = len(matrix)
-    system = LinearSystem(matrix=scipy.sparse.csr_matrix(np.array(matrix)),
-                          rhs=np.ones(n), free_dofs=np.arange(n),
-                          free_index=np.arange(n), total=n,
+    system = LinearSystem(rhs=np.ones(n), free_dofs=np.arange(n), total=n,
                           element_slots=np.arange(n)[None, :],
                           element_matrix=np.array(matrix))
-    with pytest.raises(NotSPD):
-        solve(system, method="direct")
+    for method in ("direct", "cg"):
+        with pytest.raises(NotSPD):
+            solve(system, method=method)
 
 
 def test_direct_rejects_indefinite_element_block():

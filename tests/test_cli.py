@@ -49,21 +49,22 @@ def test_study_solver_flag(capsys):
 
 
 def test_study_imports_no_scipy_linear_algebra():
-    # a fresh interpreter: importing scipy.sparse.linalg (and with it
-    # scipy.linalg) cost about 0.1 s of a study that never used them
-    script = ("import io, contextlib, sys\n"
-              "from c1rect.cli import main\n"
-              "with contextlib.redirect_stdout(io.StringIO()):\n"
-              "    code = main(['study', '--family', 'p-enriched', '--k', '4', '--levels', '3'])\n"
-              "print(code, sorted(m for m in ('scipy.linalg', 'scipy.sparse.linalg')\n"
-              "                   if m in sys.modules))\n")
+    # a fresh interpreter per command: importing scipy.sparse cost 0.2-0.3 s
+    # and 22 MB of a direct study or a verify, which use no assembled matrix
     src = str(Path(c1rect.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-c", script], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["0", "[]"]
+    for args in (["study", "--family", "p-enriched", "--k", "4", "--levels", "3"],
+                 ["verify", "--family", "q-bfs", "--k", "4", "--level", "2"]):
+        script = ("import io, contextlib, sys\n"
+                  "from c1rect.cli import main\n"
+                  "with contextlib.redirect_stdout(io.StringIO()):\n"
+                  f"    code = main({args!r})\n"
+                  "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["0", "[]"], args
 
 
 def test_verify_text(capsys):
