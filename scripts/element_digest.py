@@ -9,6 +9,8 @@ Run each checkout's own copy on its own ``src`` and compare the outputs:
     diff a.txt b.txt
 
 Digests are SHA-256 over dtype, shape and bytes; other floats print by ``repr``.
+The long-double element block is hashed as its exact float64 split (hi, lo):
+its own bytes include x87 padding, which is never initialized.
 LAPACK builds differ between machines, so compare outputs from one machine.
 Element data is hashed straight from the ``nodal`` coefficient stacks.
 Older checkouts, which kept each basis as a list of polynomial objects,
@@ -24,8 +26,7 @@ from c1rect import (Family, StudyConfig, assemble, bell_nodal_basis,
                     build_dof_map, build_mesh, clamped_flags, element_basis,
                     exact_solution, run_study, verify)
 
-DOF_MAP_FIELDS = ("local_to_global", "is_boundary", "entity_kind", "entity_id",
-                  "kind_code", "points")
+DOF_MAP_FIELDS = ("local_to_global", "is_boundary", "kind_code", "points")
 
 
 def digest(*arrays) -> str:
@@ -58,8 +59,9 @@ for family in Family:
                   digest(*(getattr(dm, name) for name in DOF_MAP_FIELDS)))
             if level == 3:
                 system = assemble(mesh, dm, eb, exact_solution().f)
-                print("  level 3 system", digest(system.element_matrix,
-                                                 system.element_slots, system.rhs))
+                hi = system.element_matrix.astype(float)
+                lo = (system.element_matrix - hi).astype(float)
+                print("  level 3 system", digest(hi, lo, system.element_slots, system.rhs))
         print("  verify", [(c.name, repr(c.value)) for c in verify(family, k, 3)])
 
 # p-enriched k=4, 5 to level 6 and both families k=6..8 to level 4

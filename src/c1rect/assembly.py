@@ -10,8 +10,9 @@ h^(d_x + d_y).  On a uniform mesh every element shares the scaled reference
 stiffness block and one tabulation per evaluation, so assembly and
 evaluation are array operations over (element, local DOF), and the direct
 solver factors one front per class of nested-dissection boxes, not per box.
-That block, in long double, and the element slots are the operator: it is
-applied matrix-free (:func:`_apply`) and assembled only for CG.
+That block, in long double, and the element slots are the operator: every
+solve applies and factors it matrix-free, and only the ``matrix`` property
+of :class:`LinearSystem` assembles it, as a reference.
 """
 
 from __future__ import annotations
@@ -94,8 +95,9 @@ class LinearSystem:
 
     @cached_property
     def matrix(self):
-        """Assembled float64 CSR, built on first use (CG reads it): free slot pairs
-        in element-major, row-major order, summed as a per-element loop would."""
+        """Assembled float64 CSR, a reference built on first use; no solve reads
+        it.  Duplicate slot pairs are summed by scipy, not in element order,
+        so an entry can differ from an element loop's sum by roundoff."""
         from scipy.sparse import coo_matrix
         slots = self.element_slots
         keep = slots >= 0
@@ -265,6 +267,17 @@ def _inverse_cholesky(a: FloatArray) -> FloatArray:
     return out
 
 
+def _inverse_factor(a: FloatArray) -> FloatArray:
+    """L^-1 for a = L L^T, from the factor of a equilibrated to unit diagonal,
+    whose entries are at most 1; a nonpositive diagonal entry or pivot
+    raises :class:`NotSPD`."""
+    d = np.diagonal(a)
+    if not np.all(d > 0.0):
+        raise NotSPD("nonpositive diagonal entry")
+    d = 1.0 / np.sqrt(d)
+    return _inverse_cholesky(a * d[:, None] * d) * d
+
+
 def _front(slots: np.ndarray, block: FloatArray, touching: np.ndarray, origin: int,
            halves: list[tuple[_Front, FloatArray, int]] | None) -> tuple[_Front, FloatArray]:
     """Factor the front of the box whose first element is ``origin``; returns
@@ -296,12 +309,7 @@ def _front(slots: np.ndarray, block: FloatArray, touching: np.ndarray, origin: i
         F = np.zeros((len(order), len(order)))
         F.ravel()[(r0[:, None] * len(F) + r0).ravel()] = s0.ravel()
         F.ravel()[(r1[:, None] * len(F) + r1).ravel()] += s1.ravel()
-    d = np.diagonal(F)[:m]
-    if not np.all(d > 0.0):
-        raise NotSPD("nonpositive diagonal entry")
-    d = 1.0 / np.sqrt(d)
-    # L^-1 of the equilibrated block, whose factor has entries of at most 1
-    inv_l = _inverse_cholesky(F[:m, :m] * d[:, None] * d) * d
+    inv_l = _inverse_factor(F[:m, :m])
     w = inv_l @ F[:m, m:]
     back = np.vstack([inv_l, -w.T @ inv_l])
     return (_Front(ref=ref[:, order], occ=occ[order], m=m, inv_l=back[:m], w=w, back=back),
@@ -370,66 +378,71 @@ def _direct_solver(system: LinearSystem) -> tuple[Callable[[FloatArray], tuple[F
     return solve_ll, fill
 
 
-def _element_block_preconditioner(system: LinearSystem) -> Callable[[FloatArray], FloatArray]:
-    """Additive Schwarz over elements: r -> sum_e R_e^T A_ee^-1 R_e r.
+def _element_sum(groups: list[np.ndarray], blocks: list[FloatArray],
+                 n: int) -> Callable[[FloatArray], FloatArray]:
+    """The float64 map x -> sum_e R_e^T B_e R_e x over n free slots, where
+    the (elements, dim) slots of ``groups[c]`` all carry ``blocks[c]``: one
+    gather, one product per block and one scatter; slot -1 gathers a padded
+    zero, and its sums are dropped."""
+    flat = np.concatenate([ix.ravel() for ix in groups]) % (n + 1)
 
-    A_ee is the assembled matrix restricted to element e's free DOFs, padded
-    with the identity on its constrained slots, equilibrated and inverted by
-    Cholesky; a nonpositive diagonal or pivot raises :class:`NotSPD`.  Only
-    local blocks enter, never the global factorization, so CG stays an
-    independent check of the direct solve.  On a uniform mesh most elements
-    share their block, so each distinct block is inverted once and applied to
-    all of its elements in one product.
-    """
-    A = system.matrix
-    n = system.n_free
-    slots = system.element_slots
-    free = slots >= 0
-    idx = np.where(free, slots, n)  # constrained slots gather a padded zero
-    pairs = free[:, :, None] & free[:, None, :]
-    rows = np.broadcast_to(idx[:, :, None], pairs.shape)[pairs]
-    cols = np.broadcast_to(idx[:, None, :], pairs.shape)[pairs]
-    blocks = np.zeros(pairs.shape)
-    blocks[pairs] = np.asarray(A[rows, cols]).ravel()
-    e, i = np.nonzero(~free)
-    blocks[e, i, i] = 1.0
-
-    distinct, kind = np.unique(blocks.reshape(len(blocks), -1), axis=0,
-                               return_inverse=True)
-    distinct = distinct.reshape(-1, *blocks.shape[1:])
-    d = np.diagonal(distinct, axis1=1, axis2=2)
-    if not np.all(d > 0.0):
-        raise NotSPD("nonpositive diagonal entry")
-    s = 1.0 / np.sqrt(d)
-    ss = s[:, :, None] * s[:, None, :]
-    try:
-        inv_l = np.linalg.inv(np.linalg.cholesky(distinct * ss))
-    except np.linalg.LinAlgError as err:
-        raise NotSPD(f"indefinite element block ({err})") from err
-    inv = (inv_l.transpose(0, 2, 1) @ inv_l) * ss
-    inv = 0.5 * (inv + inv.transpose(0, 2, 1))
-    by_kind = idx[np.argsort(kind, kind="stable")]
-    groups = np.split(by_kind, np.cumsum(np.bincount(kind))[:-1])
-    flat = by_kind.ravel()
-
-    def apply(r: FloatArray) -> FloatArray:
-        g = np.append(r, 0.0)
-        y = np.concatenate([(g[ix] @ blk).ravel() for ix, blk in zip(groups, inv)])
+    def apply(x: FloatArray) -> FloatArray:
+        g = np.append(x, 0.0)
+        y = np.concatenate([(g[ix] @ blk).ravel() for ix, blk in zip(groups, blocks)])
         return np.bincount(flat, weights=y, minlength=n + 1)[:n]
 
     return apply
 
 
+def _element_blocks(system: LinearSystem) -> FloatArray:
+    """(elements, dim, dim): each A_ee, the operator restricted to element e's
+    free slots, from the element data: the float64 block's values on every
+    free slot pair, summed per pair in element order; the identity on
+    constrained slots."""
+    slots, n = system.element_slots, system.n_free
+    free = slots >= 0
+    pairs = free[:, :, None] & free[:, None, :]
+    _, at = np.unique((slots[:, :, None] * n + slots[:, None, :])[pairs],
+                      return_inverse=True)
+    vals = np.broadcast_to(system.element_matrix.astype(float), pairs.shape)[pairs]
+    blocks = np.zeros(pairs.shape)
+    blocks[pairs] = np.bincount(at, weights=vals)[at]
+    e, i = np.nonzero(~free)
+    blocks[e, i, i] = 1.0
+    return blocks
+
+
+def _element_block_preconditioner(system: LinearSystem) -> Callable[[FloatArray], FloatArray]:
+    """Additive Schwarz over elements: r -> sum_e R_e^T A_ee^-1 R_e r.
+
+    A_ee comes from :func:`_element_blocks` and is inverted through
+    :func:`_inverse_factor`.  Only local blocks enter, never the global
+    factorization, so CG stays an independent check of the direct solve.
+    On a uniform mesh most elements share their block, so each distinct
+    block is inverted once and applied to all of its elements in one product.
+    """
+    blocks = _element_blocks(system)
+    distinct, kind = np.unique(blocks.reshape(len(blocks), -1), axis=0,
+                               return_inverse=True)
+    # A_ee^-1 = M^T M for M = L^-1; numpy forms M^T M by syrk, exactly symmetric
+    inv = [m.T @ m for m in map(_inverse_factor, distinct.reshape(-1, *blocks.shape[1:]))]
+    by_kind = system.element_slots[np.argsort(kind, kind="stable")]
+    groups = np.split(by_kind, np.cumsum(np.bincount(kind))[:-1])
+    return _element_sum(groups, inv, system.n_free)
+
+
 def _pcg_solver(system: LinearSystem, rel_tol: float) -> Callable[[FloatArray], tuple[FloatArray, int]]:
-    """Element-block preconditioned conjugate gradients from a zero guess.
+    """Element-block preconditioned conjugate gradients from a zero guess,
+    with products by the float64 element block (:func:`_element_sum`).
 
     Each solve stops once the recursively updated residual is below
     ``rel_tol`` relative to its right-hand side, and raises
     :class:`NotConverged` after 50 * dim iterations.
     """
-    A = system.matrix
+    product = _element_sum([system.element_slots], [system.element_matrix.astype(float)],
+                           system.n_free)
     precond = _element_block_preconditioner(system)
-    max_iter = 50 * A.shape[0]
+    max_iter = 50 * system.n_free
 
     def pcg(b: FloatArray) -> tuple[FloatArray, int]:
         norm_b = float(np.linalg.norm(b))
@@ -442,7 +455,7 @@ def _pcg_solver(system: LinearSystem, rel_tol: float) -> Callable[[FloatArray], 
         rz = float(r @ z)
         norm_r = norm_b
         for it in range(1, max_iter + 1):
-            Ap = A @ p
+            Ap = product(p)
             pAp = float(p @ Ap)
             if pAp < 0.0:
                 raise NotSPD(f"curvature {pAp:.3e} on iteration {it}")
@@ -500,8 +513,8 @@ def solve(system: LinearSystem, rel_tol: float = 1e-13,
 
     method: "direct" (nested-dissection Cholesky factored from
     ``element_matrix`` on ``element_slots``; see :func:`_direct_solver`) or
-    "cg" (conjugate gradients on the assembled ``matrix``, preconditioned by
-    element blocks, each solve to relative residual ``rel_tol`` within
+    "cg" (conjugate gradients on the float64 element block, preconditioned
+    by element blocks, each solve to relative residual ``rel_tol`` within
     50 * dim iterations).  Both methods are refined on a matrix-free
     long-double residual (see :func:`_refine`), so they return the solution
     of the long-double operator up to its conditioning times the

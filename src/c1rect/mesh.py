@@ -20,10 +20,6 @@ import numpy as np
 from .elements import VERTEX_KINDS, ElementBasis
 from .poly2d import FloatArray
 
-# entity codes for DofMap.entity_kind
-VERTEX, H_EDGE, V_EDGE, INTERIOR = 0, 1, 2, 3
-
-
 @dataclass(frozen=True)
 class RectMesh:
     """Uniform n x n mesh of [0,1]^2 with implicit structured topology."""
@@ -115,8 +111,6 @@ class DofMap:
     total: int
     local_to_global: np.ndarray
     is_boundary: np.ndarray
-    entity_kind: np.ndarray
-    entity_id: np.ndarray
     kind_code: np.ndarray
     points: FloatArray
 
@@ -143,41 +137,33 @@ def build_dof_map(mesh: RectMesh, basis: ElementBasis) -> DofMap:
     elems = np.arange(mesh.n_elements)
     i, j = mesh.element_index(elems)
     # per local entity (corners (0,0), (1,0), (1,1), (0,1), then edges bottom,
-    # right, top, left, then the interior): its entity code, its global ids
-    # per element, the global number of its first DOF and its local DOFs
+    # right, top, left, then the interior): the global number of its first
+    # DOF per element and its local DOFs
     verts = (mesh.vertex_id(i, j), mesh.vertex_id(i + 1, j),
              mesh.vertex_id(i + 1, j + 1), mesh.vertex_id(i, j + 1))
-    edges = ((H_EDGE, h_base, mesh.h_edge_id(i, j)),
-             (V_EDGE, v_base, mesh.v_edge_id(i + 1, j)),
-             (H_EDGE, h_base, mesh.h_edge_id(i, j + 1)),
-             (V_EDGE, v_base, mesh.v_edge_id(i, j)))
-    blocks = [(VERTEX, ids, nv * ids, basis.vertex_dofs(v)) for v, ids in enumerate(verts)]
-    blocks += [(kind, ids, base + ne * ids, basis.edge_dofs(e))
-               for e, (kind, base, ids) in enumerate(edges)]
-    blocks.append((INTERIOR, elems, i_base + ni * elems, basis.interior_dofs()))
-    x0, y0 = mesh.element_corner(elems)
+    edges = (h_base + ne * mesh.h_edge_id(i, j), v_base + ne * mesh.v_edge_id(i + 1, j),
+             h_base + ne * mesh.h_edge_id(i, j + 1), v_base + ne * mesh.v_edge_id(i, j))
+    blocks = [(nv * ids, basis.vertex_dofs(v)) for v, ids in enumerate(verts)]
+    blocks += [(first, basis.edge_dofs(e)) for e, first in enumerate(edges)]
+    blocks.append((i_base + ni * elems, basis.interior_dofs()))
 
     l2g = np.empty((mesh.n_elements, basis.dim), dtype=np.int64)
-    entity_kind = np.empty(total, dtype=np.int8)
-    entity_id = np.empty(total, dtype=np.int64)
     kind_code = np.empty(total, dtype=np.int8)
     points = np.empty((total, 2))
     owner = np.full(total, mesh.n_elements)  # first element to touch each DOF
 
-    for kind, ids, first_dof, local in blocks:
+    for first_dof, local in blocks:
         for slot, n in enumerate(local):
             dof = basis.dofs[n]
             g = first_dof + slot
             l2g[:, n] = g
-            entity_kind[g] = kind
-            entity_id[g] = ids
             kind_code[g] = VERTEX_KINDS.index(dof.kind)
             # g has no repeats within a column: distinct elements own distinct
             # entities of one local slot
             first = elems < owner[g]
             owner[g[first]] = elems[first]
-            points[g[first], 0] = x0[first] + mesh.h * dof.point[0]
-            points[g[first], 1] = y0[first] + mesh.h * dof.point[1]
+            points[g[first], 0] = (i[first] + dof.point[0]) / mesh.n
+            points[g[first], 1] = (j[first] + dof.point[1]) / mesh.n
 
     assert (owner < mesh.n_elements).all(), \
         "every global DOF must be touched by some element"
@@ -185,30 +171,19 @@ def build_dof_map(mesh: RectMesh, basis: ElementBasis) -> DofMap:
         total=total,
         local_to_global=l2g,
         is_boundary=np.zeros(total, dtype=bool),
-        entity_kind=entity_kind,
-        entity_id=entity_id,
         kind_code=kind_code,
         points=points,
     )
 
 
 def clamped_flags(mesh: RectMesh, dof_map: DofMap) -> DofMap:
-    """Flag every DOF owned by a boundary vertex or boundary edge.
+    """Flag every DOF whose point lies on a side of the unit square.
 
     u = du/dn = 0 along the boundary forces all four vertex DOFs there
     (the mixed derivative is the tangential derivative of the normal one)
-    and all values and normal derivatives on boundary edges.
+    and all values and normal derivatives on boundary edges: exactly the
+    DOFs whose point has x or y in {0, 1} (exact: :func:`build_dof_map`
+    divides by n last).
     """
-    n = mesh.n
-    on_side = np.zeros(n + 1, dtype=bool)
-    on_side[[0, n]] = True
-    # boundary tables indexed by vertex id j * (n + 1) + i, h-edge id
-    # j * n + i and v-edge id j * (n + 1) + i
-    tables = {VERTEX: (on_side[:, None] | on_side[None, :]).ravel(),
-              H_EDGE: np.repeat(on_side, n),
-              V_EDGE: np.tile(on_side, n)}
-    flags = np.zeros(dof_map.total, dtype=bool)
-    for kind, table in tables.items():
-        sel = dof_map.entity_kind == kind
-        flags[sel] = table[dof_map.entity_id[sel]]
-    return replace(dof_map, is_boundary=flags)
+    xy = dof_map.points
+    return replace(dof_map, is_boundary=((xy == 0.0) | (xy == 1.0)).any(axis=1))

@@ -183,11 +183,24 @@ def test_matrix_free_product_matches_element_loop(family, k, dtype, rng):
 
 
 def test_direct_solve_builds_no_matrix():
+    # CG neither: its products and preconditioner read the element data
     _, _, _, system = _system(Family.ENRICHED_P, 4, 3, exact_solution().f)
-    solve(system)
-    assert "matrix" not in vars(system)
-    solve(system, method="cg")
-    assert "matrix" in vars(system)
+    for method in ("direct", "cg"):
+        solve(system, method=method)
+        assert "matrix" not in vars(system)
+
+
+@pytest.mark.parametrize("family", list(Family))
+def test_preconditioner_blocks_match_matrix(family):
+    # k=8: q-bfs blocks have 81 rows, past _inverse_cholesky's split at 64
+    _, _, _, system = _system(family, 8, 3, exact_solution().f)
+    blocks = assembly._element_blocks(system)
+    A = system.matrix.toarray()
+    for slots, block in zip(system.element_slots, blocks):
+        free = slots >= 0
+        ref = np.eye(len(slots))
+        ref[np.ix_(free, free)] = A[np.ix_(slots[free], slots[free])]
+        assert np.max(np.abs(block - ref)) <= 1e-15 * np.max(np.abs(A))
 
 
 def _eliminated(system):
@@ -391,6 +404,18 @@ def test_direct_rejects_indefinite_system(matrix):
     for method in ("direct", "cg"):
         with pytest.raises(NotSPD):
             solve(system, method=method)
+
+
+def test_cg_rejects_indefinite_block_past_64_rows():
+    # I + c (J - I) of 70 rows: positive diagonal, its leading 35 rows
+    # positive definite (1 + 34 c > 0), the whole indefinite (1 + 69 c < 0),
+    # so the Schur complement of _inverse_cholesky's halves fails
+    n, c = 70, -0.02
+    matrix = (1.0 - c) * np.eye(n) + c
+    system = LinearSystem(rhs=np.ones(n), free_dofs=np.arange(n), total=n,
+                          element_slots=np.arange(n)[None, :], element_matrix=matrix)
+    with pytest.raises(NotSPD):
+        solve(system, method="cg")
 
 
 def test_direct_rejects_indefinite_element_block():

@@ -50,11 +50,13 @@ def test_study_solver_flag(capsys):
 
 def test_study_imports_no_scipy_linear_algebra():
     # a fresh interpreter per command: importing scipy.sparse cost 0.2-0.3 s
-    # and 22 MB of a direct study or a verify, which use no assembled matrix
+    # and 22 MB of a study or a verify, which use no assembled matrix
     src = str(Path(c1rect.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     for args in (["study", "--family", "p-enriched", "--k", "4", "--levels", "3"],
+                 ["study", "--family", "p-enriched", "--k", "4", "--levels", "3",
+                  "--solver", "cg"],
                  ["verify", "--family", "q-bfs", "--k", "4", "--level", "2"]):
         script = ("import io, contextlib, sys\n"
                   "from c1rect.cli import main\n"

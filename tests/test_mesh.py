@@ -2,15 +2,7 @@ import numpy as np
 import pytest
 
 from c1rect.elements import Family, element_basis
-from c1rect.mesh import (
-    H_EDGE,
-    MAX_LEVEL,
-    V_EDGE,
-    VERTEX,
-    build_dof_map,
-    build_mesh,
-    clamped_flags,
-)
+from c1rect.mesh import MAX_LEVEL, RectMesh, build_dof_map, build_mesh, clamped_flags
 from c1rect.study import expected_dim
 
 
@@ -82,12 +74,26 @@ def test_entity_ownership_complete():
     mesh = build_mesh(2)
     eb = element_basis(Family.ENRICHED_P, 8)
     dm = build_dof_map(mesh, eb)
-    counts = {VERTEX: 0, H_EDGE: 0, V_EDGE: 0, 3: 0}
-    for g in range(dm.total):
-        counts[int(dm.entity_kind[g])] += 1
-    assert counts[VERTEX] == 4 * mesh.n_vertices
-    assert counts[H_EDGE] == counts[V_EDGE] == 9 * mesh.n * (mesh.n + 1)
-    assert counts[3] == mesh.n_elements
+    # a DOF's entity from its point: x on a vertical grid line, y on a
+    # horizontal one, both for a vertex, neither for an element interior
+    on_x, on_y = (dm.points * mesh.n % 1.0 == 0.0).T
+    assert np.count_nonzero(on_x & on_y) == 4 * mesh.n_vertices
+    assert np.count_nonzero(on_y & ~on_x) == 9 * mesh.n_h_edges
+    assert np.count_nonzero(on_x & ~on_y) == 9 * mesh.n_v_edges
+    assert np.count_nonzero(~on_x & ~on_y) == mesh.n_elements
+
+
+@pytest.mark.parametrize("family", list(Family))
+@pytest.mark.parametrize("n", [3, 6])
+def test_clamped_flags_off_powers_of_two(family, n):
+    # points on the sides stay exact where h = 1/n is inexact: every DOF of
+    # an interior vertex, edge or element is free, every other one clamped
+    eb = element_basis(family, 4)
+    mesh = RectMesh(n)
+    dm = clamped_flags(mesh, build_dof_map(mesh, eb))
+    assert dm.n_free == (len(eb.vertex_dofs(0)) * (n - 1) ** 2
+                         + eb.edge_dof_count * 2 * n * (n - 1)
+                         + eb.interior_dof_count * n * n)
 
 
 def test_clamped_level1_all_constrained():
