@@ -12,6 +12,11 @@ Digests are SHA-256 over dtype, shape and bytes; other floats print by ``repr``.
 The long-double element block is hashed as its exact float64 split (hi, lo):
 its own bytes include x87 padding, which is never initialized.
 LAPACK builds differ between machines, so compare outputs from one machine.
+The study rows depend on the BLAS thread count (p-enriched k=8 level 4's
+L2 error moves in the third digit), so the script pins OpenBLAS, OpenMP and
+MKL to one thread before numpy is imported; to compare with a checkout whose
+copy does not, set ``OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1 MKL_NUM_THREADS=1``
+in the environment of both runs.
 Element data is hashed straight from the ``nodal`` coefficient stacks.
 Older checkouts, which kept each basis as a list of polynomial objects,
 hash the same zero-padded stack in their own copy, so a ``git archive`` of
@@ -19,6 +24,9 @@ one and this copy print identical lines for identical data.
 """
 
 import hashlib
+import os
+
+os.environ.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
 
 import numpy as np
 
@@ -54,7 +62,7 @@ for family in Family:
               "layout", digest(*(np.array(ids, dtype=np.int64) for ids in layout)))
         for level in range(1, (6 if k <= 6 else 5)):
             mesh = build_mesh(level)
-            dm = clamped_flags(mesh, build_dof_map(mesh, eb))
+            dm = clamped_flags(build_dof_map(mesh, eb))
             print(f"  level {level} dof map",
                   digest(*(getattr(dm, name) for name in DOF_MAP_FIELDS)))
             if level == 3:

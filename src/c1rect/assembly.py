@@ -8,8 +8,9 @@ entry picks up h^(o_m + o_n - 2), a load entry h^(o_m + 2), and evaluation
 multiplies physical DOF values by h^o and divides a (d_x, d_y) derivative by
 h^(d_x + d_y).  On a uniform mesh every element shares the scaled reference
 stiffness block and one tabulation per evaluation, so assembly and
-evaluation are array operations over (element, local DOF), and the direct
-solver factors one front per class of nested-dissection boxes, not per box.
+evaluation are array operations over (element, local DOF), the direct
+solver factors one front per class of nested-dissection boxes, not per box,
+and CG's preconditioner inverts one block per class of elements.
 That block, in long double, and the element slots are the operator: every
 solve applies and factors it matrix-free, and only the ``matrix`` property
 of :class:`LinearSystem` assembles it, as a reference.
@@ -209,6 +210,12 @@ def _apply(slots: np.ndarray, block: np.ndarray, x: FloatArray) -> np.ndarray:
     return y[:-1]
 
 
+def _sides(x0, y0, w, h, n: int):
+    """Code of the sides of the unit square that the box (x0, y0, w, h) of
+    the n x n element grid touches: 1 left, 2 right, 4 bottom, 8 top."""
+    return (x0 == 0) + 2 * (x0 + w == n) + 4 * (y0 == 0) + 8 * (y0 + h == n)
+
+
 def _dissection(n: int) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Nested dissection of the n x n element grid (A. George, SIAM J. Numer.
     Anal. 10, 1973): each box larger than one element is bisected across its
@@ -221,11 +228,10 @@ def _dissection(n: int) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     box, depths = np.array([[0], [0], [n], [n]]), []
     while box.shape[1]:
         x0, y0, w, h = box
-        sides = (x0 == 0) + 2 * (x0 + w == n) + 4 * (y0 == 0) + 8 * (y0 + h == n)
         split = (w > 1) | (h > 1)
         halves = np.full((2, len(x0)), -1)
         halves[:, split] = np.arange(2 * np.count_nonzero(split)).reshape(2, -1)
-        depths.append((box, (w * (n + 1) + h) * 16 + sides, halves))
+        depths.append((box, (w * (n + 1) + h) * 16 + _sides(x0, y0, w, h, n), halves))
         x0, y0, w, h = box[:, split]
         across_y = h > w
         dx, dy = np.where(across_y, 0, w // 2), np.where(across_y, h // 2, 0)
@@ -244,8 +250,7 @@ class _Front:
                         # box's first element, and its local slot there
     occ: np.ndarray     # (m + q,) elements of the box that touch each DOF
     m: int
-    inv_l: FloatArray   # (m, m) M = L^-1, the top of ``back``
-    w: FloatArray       # (m, q) W = M F12
+    w: FloatArray       # (m, q) W = M F12 for M = L^-1
     back: FloatArray    # (m + q, m) [M; -W^T M]: front values to eliminated ones
 
 
@@ -312,7 +317,7 @@ def _front(slots: np.ndarray, block: FloatArray, touching: np.ndarray, origin: i
     inv_l = _inverse_factor(F[:m, :m])
     w = inv_l @ F[:m, m:]
     back = np.vstack([inv_l, -w.T @ inv_l])
-    return (_Front(ref=ref[:, order], occ=occ[order], m=m, inv_l=back[:m], w=w, back=back),
+    return (_Front(ref=ref[:, order], occ=occ[order], m=m, w=w, back=back),
             F[m:, m:] - w.T @ w)
 
 
@@ -366,7 +371,7 @@ def _direct_solver(system: LinearSystem) -> tuple[Callable[[FloatArray], tuple[F
         v = r.copy()
         for level in reversed(factor):
             for f, s in level:
-                z = v[s[:, :f.m]] @ f.inv_l.T
+                z = v[s[:, :f.m]] @ f.back[:f.m].T
                 v[s[:, :f.m]] = z
                 v -= np.bincount(s[:, f.m:].ravel(), weights=(z @ f.w).ravel(),
                                  minlength=len(v))
@@ -394,41 +399,40 @@ def _element_sum(groups: list[np.ndarray], blocks: list[FloatArray],
     return apply
 
 
-def _element_blocks(system: LinearSystem) -> FloatArray:
-    """(elements, dim, dim): each A_ee, the operator restricted to element e's
-    free slots, from the element data: the float64 block's values on every
-    free slot pair, summed per pair in element order; the identity on
-    constrained slots."""
-    slots, n = system.element_slots, system.n_free
-    free = slots >= 0
-    pairs = free[:, :, None] & free[:, None, :]
-    _, at = np.unique((slots[:, :, None] * n + slots[:, None, :])[pairs],
-                      return_inverse=True)
-    vals = np.broadcast_to(system.element_matrix.astype(float), pairs.shape)[pairs]
-    blocks = np.zeros(pairs.shape)
-    blocks[pairs] = np.bincount(at, weights=vals)[at]
-    e, i = np.nonzero(~free)
-    blocks[e, i, i] = 1.0
-    return blocks
-
-
-def _element_block_preconditioner(system: LinearSystem) -> Callable[[FloatArray], FloatArray]:
+def _element_block_preconditioner(system: LinearSystem, product: Callable[[FloatArray], FloatArray],
+                                  ) -> Callable[[FloatArray], FloatArray]:
     """Additive Schwarz over elements: r -> sum_e R_e^T A_ee^-1 R_e r.
 
-    A_ee comes from :func:`_element_blocks` and is inverted through
-    :func:`_inverse_factor`.  Only local blocks enter, never the global
-    factorization, so CG stays an independent check of the direct solve.
-    On a uniform mesh most elements share their block, so each distinct
-    block is inverted once and applied to all of its elements in one product.
+    Elements that touch the same sides of the square (:func:`_sides`) share
+    A_ee, the operator restricted to their free slots, so it is read once per
+    class, from ``product`` on the unit vectors of the first element's free
+    slots, with the identity on constrained slots; each distinct block is
+    inverted once through :func:`_inverse_factor` and applied to all of its
+    elements in one product.  Only the operator's products enter, never the
+    global factorization, so CG stays an independent check of the direct solve.
     """
-    blocks = _element_blocks(system)
+    slots, n = system.element_slots, system.n_free
+    side = round(len(slots) ** 0.5)
+    y0, x0 = np.divmod(np.arange(len(slots)), side)
+    _, first, cls = np.unique(_sides(x0, y0, 1, 1, side), return_index=True,
+                              return_inverse=True)
+    rep = slots[first]
+    probe = np.unique(rep[rep >= 0])
+    sub = np.zeros((len(probe) + 1,) * 2)  # A on the probed slots; last: constrained
+    for row, s in enumerate(probe):
+        sub[row, :-1] = product(np.eye(1, n, s)[0])[probe]
+    at = np.where(rep >= 0, np.searchsorted(probe, rep), len(probe))
+    blocks = sub[at[:, :, None], at[:, None, :]]
+    c, a = np.nonzero(rep < 0)
+    blocks[c, a, a] = 1.0
     distinct, kind = np.unique(blocks.reshape(len(blocks), -1), axis=0,
                                return_inverse=True)
+    kind = kind[cls]
     # A_ee^-1 = M^T M for M = L^-1; numpy forms M^T M by syrk, exactly symmetric
     inv = [m.T @ m for m in map(_inverse_factor, distinct.reshape(-1, *blocks.shape[1:]))]
-    by_kind = system.element_slots[np.argsort(kind, kind="stable")]
+    by_kind = slots[np.argsort(kind, kind="stable")]
     groups = np.split(by_kind, np.cumsum(np.bincount(kind))[:-1])
-    return _element_sum(groups, inv, system.n_free)
+    return _element_sum(groups, inv, n)
 
 
 def _pcg_solver(system: LinearSystem, rel_tol: float) -> Callable[[FloatArray], tuple[FloatArray, int]]:
@@ -441,7 +445,7 @@ def _pcg_solver(system: LinearSystem, rel_tol: float) -> Callable[[FloatArray], 
     """
     product = _element_sum([system.element_slots], [system.element_matrix.astype(float)],
                            system.n_free)
-    precond = _element_block_preconditioner(system)
+    precond = _element_block_preconditioner(system, product)
     max_iter = 50 * system.n_free
 
     def pcg(b: FloatArray) -> tuple[FloatArray, int]:

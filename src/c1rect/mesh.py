@@ -123,8 +123,8 @@ def build_dof_map(mesh: RectMesh, basis: ElementBasis) -> DofMap:
     """Number DOFs globally with vertex/edge sharing; no boundary flags yet.
 
     Each local-DOF column of ``local_to_global`` is filled for all elements
-    at once from the closed-form entity ids.  A global DOF's point is
-    computed in the first element (in element order) that touches it.
+    at once from the closed-form entity ids.  Every element that touches a
+    global DOF computes its point ``(i + p) / n`` to the same bits.
     """
     nv = len(basis.vertex_dofs(0))
     ne = basis.edge_dof_count
@@ -150,23 +150,14 @@ def build_dof_map(mesh: RectMesh, basis: ElementBasis) -> DofMap:
     l2g = np.empty((mesh.n_elements, basis.dim), dtype=np.int64)
     kind_code = np.empty(total, dtype=np.int8)
     points = np.empty((total, 2))
-    owner = np.full(total, mesh.n_elements)  # first element to touch each DOF
-
     for first_dof, local in blocks:
         for slot, n in enumerate(local):
             dof = basis.dofs[n]
             g = first_dof + slot
             l2g[:, n] = g
             kind_code[g] = VERTEX_KINDS.index(dof.kind)
-            # g has no repeats within a column: distinct elements own distinct
-            # entities of one local slot
-            first = elems < owner[g]
-            owner[g[first]] = elems[first]
-            points[g[first], 0] = (i[first] + dof.point[0]) / mesh.n
-            points[g[first], 1] = (j[first] + dof.point[1]) / mesh.n
-
-    assert (owner < mesh.n_elements).all(), \
-        "every global DOF must be touched by some element"
+            points[g, 0] = (i + dof.point[0]) / mesh.n
+            points[g, 1] = (j + dof.point[1]) / mesh.n
     return DofMap(
         total=total,
         local_to_global=l2g,
@@ -176,7 +167,7 @@ def build_dof_map(mesh: RectMesh, basis: ElementBasis) -> DofMap:
     )
 
 
-def clamped_flags(mesh: RectMesh, dof_map: DofMap) -> DofMap:
+def clamped_flags(dof_map: DofMap) -> DofMap:
     """Flag every DOF whose point lies on a side of the unit square.
 
     u = du/dn = 0 along the boundary forces all four vertex DOFs there

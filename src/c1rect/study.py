@@ -179,7 +179,7 @@ def run_study(config: StudyConfig) -> StudyReport:
     for level in range(1, config.max_level + 1):
         t0 = time.perf_counter()
         mesh = build_mesh(level)
-        dof_map = clamped_flags(mesh, build_dof_map(mesh, basis))
+        dof_map = clamped_flags(build_dof_map(mesh, basis))
         t1 = time.perf_counter()
         system = assembly.assemble(mesh, dof_map, basis, exact.f)
         t2 = time.perf_counter()
@@ -254,17 +254,8 @@ def parse_csv(text: str) -> list[StudyRow]:
 
 
 def report_json(report: StudyReport) -> str:
-    payload = {
-        "config": {
-            "family": report.config.family.value,
-            "k": report.config.k,
-            "max_level": report.config.max_level,
-            "rel_tol": report.config.rel_tol,
-            "solver": report.config.solver,
-        },
-        "rows": [asdict(r) for r in report.rows],
-        "meta": report.meta,
-    }
+    payload = {"config": asdict(report.config), "rows": [asdict(r) for r in report.rows],
+               "meta": report.meta}
     return json.dumps(payload, indent=2)
 
 
@@ -372,7 +363,7 @@ def verify(family: Family, k: int, level: int) -> list[Check]:
     checks.append(Check("quadrature_exactness", quad_err < 1e-13, quad_err, 1e-13))
 
     mesh = build_mesh(level)
-    dof_map = clamped_flags(mesh, build_dof_map(mesh, basis))
+    dof_map = clamped_flags(build_dof_map(mesh, basis))
     expect = expected_dim(family, k, mesh.n)
     checks.append(Check("dimension_count", dof_map.total == expect,
                         float(dof_map.total), float(expect),

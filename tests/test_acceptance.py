@@ -118,7 +118,7 @@ def test_criterion_4_zero_solution_sanity():
     rep = cached_study(EP, 4, 5)
     row = rep.rows[0]
     mesh = build_mesh(1)
-    dm = clamped_flags(mesh, build_dof_map(mesh, element_basis(EP, 4)))
+    dm = clamped_flags(build_dof_map(mesh, element_basis(EP, 4)))
     system = assembly.assemble(mesh, dm, element_basis(EP, 4), exact_solution().f)
     result = assembly.solve(system)
     ok = (system.n_free == 0 and np.all(result.coeffs == 0.0)
@@ -165,7 +165,7 @@ def test_criterion_6_property_suite(rng):
     for family in (EP, QB):
         for k in range(4, 9):
             eb = element_basis(family, k)
-            dm = clamped_flags(mesh, build_dof_map(mesh, eb))
+            dm = clamped_flags(build_dof_map(mesh, eb))
             coeffs = rng.standard_normal(dm.total)
             jump = c1_jump(mesh, dm, eb, coeffs, samples_per_edge=5)
             if jump >= 1e-8:
@@ -175,7 +175,7 @@ def test_criterion_6_property_suite(rng):
     mesh2 = build_mesh(2)
     for family, k in ((QB, 4), (EP, 8)):
         eb = element_basis(family, k)
-        dm = clamped_flags(mesh2, build_dof_map(mesh2, eb))
+        dm = clamped_flags(build_dof_map(mesh2, eb))
         system = assembly.assemble(mesh2, dm, eb, lambda X, Y: polyval(PATCH_F, X, Y))
         result = assembly.solve(system, method="direct")
         worst = 0.0
@@ -199,7 +199,7 @@ def test_criterion_7_solver_cross_check():
             for level in range(2, 6):
                 eb = element_basis(family, k)
                 mesh = build_mesh(level)
-                dm = clamped_flags(mesh, build_dof_map(mesh, eb))
+                dm = clamped_flags(build_dof_map(mesh, eb))
                 if dm.total > 3000:
                     continue
                 system = assembly.assemble(mesh, dm, eb, exact.f)

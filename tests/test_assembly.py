@@ -88,7 +88,7 @@ def test_tensor_grid_broadcasts_constant_data():
 def _system(family, k, level, f):
     eb = element_basis(family, k)
     mesh = build_mesh(level)
-    dm = clamped_flags(mesh, build_dof_map(mesh, eb))
+    dm = clamped_flags(build_dof_map(mesh, eb))
     return mesh, dm, eb, assembly.assemble(mesh, dm, eb, f)
 
 
@@ -109,7 +109,7 @@ def test_fully_clamped_single_element_is_empty():
 
 def test_dimension_mismatch_detected():
     mesh = build_mesh(2)
-    dm = clamped_flags(mesh, build_dof_map(mesh, element_basis(Family.ENRICHED_P, 4)))
+    dm = clamped_flags(build_dof_map(mesh, element_basis(Family.ENRICHED_P, 4)))
     with pytest.raises(DimensionMismatch):
         assembly.assemble(mesh, dm, element_basis(Family.ENRICHED_P, 5),
                           exact_solution().f)
@@ -190,17 +190,51 @@ def test_direct_solve_builds_no_matrix():
         assert "matrix" not in vars(system)
 
 
-@pytest.mark.parametrize("family", list(Family))
-def test_preconditioner_blocks_match_matrix(family):
-    # k=8: q-bfs blocks have 81 rows, past _inverse_cholesky's split at 64
-    _, _, _, system = _system(family, 8, 3, exact_solution().f)
-    blocks = assembly._element_blocks(system)
+def _preconditioner(system):
+    product = assembly._element_sum([system.element_slots],
+                                    [system.element_matrix.astype(float)], system.n_free)
+    return assembly._element_block_preconditioner(system, product)
+
+
+@pytest.mark.parametrize("family,k,n", [
+    # level 3: q-bfs k=8 blocks have 81 rows, past _inverse_cholesky's split at 64
+    (Family.ENRICHED_P, 8, 4), (Family.BFS_Q, 8, 4),
+    # n = 3 and 5 are not powers of two
+    *[(Family.BFS_Q, 5, n) for n in (1, 2, 3, 5)]])
+def test_preconditioner_sums_element_block_inverses(family, k, n, rng):
+    eb, mesh = element_basis(family, k), RectMesh(n)
+    system = assembly.assemble(mesh, clamped_flags(build_dof_map(mesh, eb)), eb,
+                               exact_solution().f)
     A = system.matrix.toarray()
-    for slots, block in zip(system.element_slots, blocks):
-        free = slots >= 0
-        ref = np.eye(len(slots))
-        ref[np.ix_(free, free)] = A[np.ix_(slots[free], slots[free])]
-        assert np.max(np.abs(block - ref)) <= 1e-15 * np.max(np.abs(A))
+    r = rng.standard_normal(system.n_free)
+    ref, cond = np.zeros_like(r), 0.0
+    for slots in system.element_slots:
+        s = slots[slots >= 0]
+        block = A[np.ix_(s, s)]
+        ref[s] += np.linalg.solve(block, r[s])
+        d = 1.0 / np.sqrt(np.diag(block))
+        cond = max(cond, np.linalg.cond(block * d[:, None] * d))
+    # the matrix sums some entries in another order than the element data;
+    # equilibrated, p-enriched k=8 blocks have condition 1.7e8, so that
+    # roundoff moves their inverses by ~1e-10 (q-bfs k=8: 1.6e3, ~1e-14)
+    tol = max(1e-12, 1e-15 * cond)
+    assert np.max(np.abs(_preconditioner(system)(r) - ref)) <= tol * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("family,k,level", [(Family.ENRICHED_P, 4, 5), (Family.BFS_Q, 8, 4)])
+def test_cg_inverts_one_block_per_class(monkeypatch, family, k, level):
+    # at most 9 classes: interior, 4 sides and 4 corners
+    _, _, _, system = _system(family, k, level, exact_solution().f)
+    calls = []
+    inverse_factor = assembly._inverse_factor
+
+    def counting(a):
+        calls.append(a.shape)
+        return inverse_factor(a)
+
+    monkeypatch.setattr(assembly, "_inverse_factor", counting)
+    _preconditioner(system)
+    assert 0 < len(calls) <= 9
 
 
 def _eliminated(system):
@@ -300,7 +334,7 @@ def test_direct_solve_on_unequal_halves(family, n):
     # n not a power of two: the bisections leave halves of unequal width
     eb = element_basis(family, 4)
     mesh = RectMesh(n)
-    dm = clamped_flags(mesh, build_dof_map(mesh, eb))
+    dm = clamped_flags(build_dof_map(mesh, eb))
     system = assembly.assemble(mesh, dm, eb, exact_solution().f)
     x = solve(system).coeffs[system.free_dofs]
     y = np.linalg.solve(system.matrix.toarray(), system.rhs)

@@ -90,7 +90,7 @@ def test_clamped_flags_off_powers_of_two(family, n):
     # an interior vertex, edge or element is free, every other one clamped
     eb = element_basis(family, 4)
     mesh = RectMesh(n)
-    dm = clamped_flags(mesh, build_dof_map(mesh, eb))
+    dm = clamped_flags(build_dof_map(mesh, eb))
     assert dm.n_free == (len(eb.vertex_dofs(0)) * (n - 1) ** 2
                          + eb.edge_dof_count * 2 * n * (n - 1)
                          + eb.interior_dof_count * n * n)
@@ -98,7 +98,7 @@ def test_clamped_flags_off_powers_of_two(family, n):
 
 def test_clamped_level1_all_constrained():
     mesh = build_mesh(1)
-    dm = clamped_flags(mesh, build_dof_map(mesh, element_basis(Family.ENRICHED_P, 4)))
+    dm = clamped_flags(build_dof_map(mesh, element_basis(Family.ENRICHED_P, 4)))
     assert dm.total == 20
     assert dm.is_boundary.all()
     assert dm.n_free == 0
@@ -107,7 +107,7 @@ def test_clamped_level1_all_constrained():
 def test_clamped_level2_free_count():
     # free: 4 DOFs at the center vertex plus 1 value on each interior edge
     mesh = build_mesh(2)
-    dm = clamped_flags(mesh, build_dof_map(mesh, element_basis(Family.ENRICHED_P, 4)))
+    dm = clamped_flags(build_dof_map(mesh, element_basis(Family.ENRICHED_P, 4)))
     assert dm.n_free == 4 + 4
 
 
@@ -117,7 +117,7 @@ def test_clamped_level2_free_count():
 def test_flag_complement_count(family, k, level):
     eb = element_basis(family, k)
     mesh = build_mesh(level)
-    dm = clamped_flags(mesh, build_dof_map(mesh, eb))
+    dm = clamped_flags(build_dof_map(mesh, eb))
     n = mesh.n
     per_edge = eb.edge_dof_count
     per_int = eb.interior_dof_count
@@ -133,7 +133,7 @@ def test_flag_soundness(rng):
 
     eb = element_basis(Family.ENRICHED_P, 5)
     mesh = build_mesh(2)
-    dm = clamped_flags(mesh, build_dof_map(mesh, eb))
+    dm = clamped_flags(build_dof_map(mesh, eb))
     coeffs = rng.standard_normal(dm.total)
     coeffs[dm.is_boundary] = 0.0
     worst = 0.0

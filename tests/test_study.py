@@ -140,7 +140,7 @@ def test_interpolant_of_exact_solution_respects_clamping():
     exact = exact_solution()
     eb = element_basis(Family.ENRICHED_P, 4)
     mesh = build_mesh(3)
-    dm = clamped_flags(mesh, build_dof_map(mesh, eb))
+    dm = clamped_flags(build_dof_map(mesh, eb))
     vec = interpolate(exact, mesh, dm, eb)
     assert np.max(np.abs(vec[dm.is_boundary])) < 1e-12
 
@@ -197,7 +197,7 @@ def test_meta_records_solver_and_quadrature():
     basis = element_basis(Family.ENRICHED_P, 4)
     for level, row in enumerate(rep.meta["levels"][1:], start=2):
         mesh = build_mesh(level)
-        dm = clamped_flags(mesh, build_dof_map(mesh, basis))
+        dm = clamped_flags(build_dof_map(mesh, basis))
         system = assembly.assemble(mesh, dm, basis, exact_solution().f)
         assert row["fill"] >= system.matrix.nnz > 0
     for row in rep.meta["levels"]:
@@ -348,7 +348,7 @@ def test_tensor_grid_errors_match_per_element_points(family, k):
     # the FE function from a fresh tabulation; n = 3 makes h inexact
     eb = element_basis(family, k)
     mesh = RectMesh(3)
-    dm = clamped_flags(mesh, build_dof_map(mesh, eb))
+    dm = clamped_flags(build_dof_map(mesh, eb))
     exact = exact_solution()
     coeffs = interpolate(exact, mesh, dm, eb)
     rule = assembly.reference_table(eb).quad
