@@ -1,0 +1,88 @@
+"""Interleaved A/B timing of two checkouts' studies in one process.
+
+    python scripts/ab_time.py <checkout A> <checkout B> [--reps 40] [--workload study-deep]
+
+Imports ``src/c1rect`` of each checkout under its own package name
+(``c1rect_a``, ``c1rect_b``), so both sides share one interpreter, one BLAS
+and the same machine state, and alternates them on the study cases of the
+benchmark's workloads (``perfbench/run.py``): A runs first on even
+repetitions and B on odd ones.  One repetition of a side times
+``run_study`` over all cases of the workload, after one untimed repetition
+that builds the element bases.  The script prints each side's median and
+quartiles and the median of the per-repetition ratio B / A with its
+quartiles.
+
+On a shared machine separate runs of the same code drift by tens of
+percent; the ratio of neighbouring runs in one process is the stable
+signal.  BLAS runs on one thread, as in ``scripts/element_digest.py``.
+Not part of the test suite.
+"""
+
+import argparse
+import importlib.util
+import os
+import sys
+import time
+from pathlib import Path
+
+os.environ.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+
+import numpy as np
+
+WORKLOADS = {
+    "study-deep": [("p-enriched", 4, 6), ("p-enriched", 5, 6)],
+    "study-high-degree": [(f, k, 4) for f in ("p-enriched", "q-bfs") for k in (6, 7, 8)],
+}
+
+
+def load(name: str, checkout: str):
+    """``<checkout>/src/c1rect`` imported as the package ``name``."""
+    package = Path(checkout, "src", "c1rect")
+    spec = importlib.util.spec_from_file_location(
+        name, package / "__init__.py", submodule_search_locations=[str(package)])
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def run(c1rect, cases) -> float:
+    start = time.perf_counter()
+    for family, k, levels in cases:
+        c1rect.run_study(c1rect.StudyConfig(family=c1rect.Family(family), k=k,
+                                            max_level=levels))
+    return time.perf_counter() - start
+
+
+def quartiles(values) -> str:
+    q1, q2, q3 = np.percentile(values, [25, 50, 75])
+    return f"{q2:.4f} (quartiles {q1:.4f}-{q3:.4f})"
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("a", help="checkout A, the baseline")
+    parser.add_argument("b", help="checkout B")
+    parser.add_argument("--reps", type=int, default=40)
+    parser.add_argument("--workload", choices=sorted(WORKLOADS), action="append")
+    args = parser.parse_args()
+    if args.reps < 1:
+        parser.error("--reps must be positive")
+    sides = [load("c1rect_a", args.a), load("c1rect_b", args.b)]
+    for workload in args.workload or sorted(WORKLOADS):
+        cases = WORKLOADS[workload]
+        for side in sides:
+            run(side, cases)
+        times = np.zeros((args.reps, 2))
+        for rep in range(args.reps):
+            for i in ((0, 1) if rep % 2 == 0 else (1, 0)):
+                times[rep, i] = run(sides[i], cases)
+        print(f"{workload}: {args.reps} repetitions of {len(cases)} studies")
+        print(f"  A {quartiles(times[:, 0])} s")
+        print(f"  B {quartiles(times[:, 1])} s")
+        print(f"  B / A {quartiles(times[:, 1] / times[:, 0])}, "
+              f"B faster in {np.count_nonzero(times[:, 1] < times[:, 0])} of {args.reps}")
+
+
+if __name__ == "__main__":
+    main()

@@ -10,7 +10,10 @@ h^(d_x + d_y).  On a uniform mesh every element shares the scaled reference
 stiffness block and one tabulation per evaluation, so assembly and
 evaluation are array operations over (element, local DOF), the direct
 solver factors one front per class of nested-dissection boxes, not per box,
-and CG's preconditioner inverts one block per class of elements.
+and CG's preconditioner inverts one block per class of elements.  The
+fronts factor the block without its level scaling, and a class does not
+depend on the grid size, so a study factors each class once
+(:class:`FrontStore`) and every finer level reuses it.
 That block, in long double, and the element slots are the operator: every
 solve applies and factors it matrix-free, and only the ``matrix`` property
 of :class:`LinearSystem` assembles it, as a reference.
@@ -18,7 +21,7 @@ of :class:`LinearSystem` assembles it, as a reference.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Callable
 
@@ -89,6 +92,11 @@ class LinearSystem:
     #: (dim, dim) block every element adds on its slots; long double from
     #: :func:`assemble`
     element_matrix: np.ndarray
+    #: (dim,) scale s of each local DOF, h^(o - 1) for a DOF of derivative
+    #: order o: the direct factor's fronts factor A_1 = ``element_matrix`` /
+    #: (s s^T), the same block on every level where h is a power of two;
+    #: None for all ones
+    dof_scale: FloatArray | None = None
 
     @property
     def n_free(self) -> int:
@@ -181,7 +189,7 @@ def assemble(
     load = load_scale * ((fq * table.quad.weights) @ table.tab[(0, 0)])
     rhs = np.bincount(fslots[keep], weights=load[keep], minlength=len(free_dofs))
     return LinearSystem(rhs=rhs, free_dofs=free_dofs, total=dof_map.total,
-                        element_slots=fslots, element_matrix=elem_stiff)
+                        element_slots=fslots, element_matrix=elem_stiff, dof_scale=scale / h)
 
 
 @dataclass
@@ -191,6 +199,7 @@ class SolveResult:
     residual: float
     method: str
     fill: int  # 2 nnz(L) of the direct factor (L plus U of an LU); 0 without one
+    fronts: int  # classes of boxes the direct factor factored; 0 without one
 
 
 SOLVER_METHODS = ("direct", "cg")
@@ -216,14 +225,16 @@ def _sides(x0, y0, w, h, n: int):
     return (x0 == 0) + 2 * (x0 + w == n) + 4 * (y0 == 0) + 8 * (y0 + h == n)
 
 
-def _dissection(n: int) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+def _dissection(n: int) -> list[tuple[np.ndarray, ...]]:
     """Nested dissection of the n x n element grid (A. George, SIAM J. Numer.
     Anal. 10, 1973): each box larger than one element is bisected across its
     longer side, x on a tie, at its middle grid line.
 
-    Per depth, root first: the boxes as (x0, y0, w, h) columns; each box's
-    class, from its width, height and the domain sides it touches; and the
-    next depth's columns of its two halves, -1 for a single element.
+    Per depth, root first: the boxes as (x0, y0, w, h) columns; the keys of
+    their classes, from a box's width, height and the domain sides it
+    touches, not from n; each class's first box and each box's class, as
+    ``np.unique`` gives them; and the next depth's columns of each box's two
+    halves, -1 for a single element.
     """
     box, depths = np.array([[0], [0], [n], [n]]), []
     while box.shape[1]:
@@ -231,7 +242,8 @@ def _dissection(n: int) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
         split = (w > 1) | (h > 1)
         halves = np.full((2, len(x0)), -1)
         halves[:, split] = np.arange(2 * np.count_nonzero(split)).reshape(2, -1)
-        depths.append((box, (w * (n + 1) + h) * 16 + _sides(x0, y0, w, h, n), halves))
+        depths.append((box, *np.unique((w * 2**28 + h) * 16 + _sides(x0, y0, w, h, n),
+                                       return_index=True, return_inverse=True), halves))
         x0, y0, w, h = box[:, split]
         across_y = h > w
         dx, dy = np.where(across_y, 0, w // 2), np.where(across_y, h // 2, 0)
@@ -240,18 +252,49 @@ def _dissection(n: int) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     return depths
 
 
+def _class_tree(depths: list[tuple[np.ndarray, ...]]) -> dict[int, tuple[int, ...]]:
+    """Each class of a :func:`_dissection` and its halves' classes."""
+    tree, below = {}, None  # the next depth's class key of each box
+    for _, keys, first, kind, halves in reversed(depths):
+        for key, b in zip(keys.tolist(), first):
+            tree[key] = () if halves[0, b] < 0 else tuple(below[halves[:, b]].tolist())
+        below = keys[kind]
+    return tree
+
+
 @dataclass(frozen=True, eq=False)
 class _Front:
     """The front that every box of one class shares.  Its first m DOFs are
     eliminated in the box, F11 = L L^T; the other q lie on the box's interface
     and are eliminated in an enclosing box."""
 
-    ref: np.ndarray     # (2, m + q) each DOF's element, as an offset from the
-                        # box's first element, and its local slot there
+    ref: np.ndarray     # (3, m + q) each DOF's element, as an offset (dx, dy)
+                        # from the box's first element, and its local slot there
     occ: np.ndarray     # (m + q,) elements of the box that touch each DOF
     m: int
     w: FloatArray       # (m, q) W = M F12 for M = L^-1
     back: FloatArray    # (m + q, m) [M; -W^T M]: front values to eliminated ones
+
+
+@dataclass(eq=False)
+class FrontStore:
+    """The direct factor's fronts by class, for the grids 1, 2, 4, ...,
+    ``finest`` of one study, solved in that order: each class is factored on
+    the first grid that has it, and every finer grid reuses its front.
+
+    A class key holds no grid size, and the fronts factor A_1, the element
+    block without its level scaling (``LinearSystem.dof_scale``), so a front
+    does not depend on the level.  Right after each factor the store drops
+    the fronts that the next grid does not use and the Schur complements
+    that the next grid's new classes do not read; after ``finest`` it keeps
+    nothing.  A system with another A_1 empties it.
+    """
+
+    finest: int = 0
+    block: FloatArray | None = None  # the float64 A_1 that the fronts factor
+    fronts: dict[int, _Front] = field(default_factory=dict)
+    schur: dict[int, FloatArray] = field(default_factory=dict)  # on the interface
+    dissection: dict[int, list] = field(default_factory=dict)  # of the next grid, by n
 
 
 def _inverse_cholesky(a: FloatArray) -> FloatArray:
@@ -283,23 +326,24 @@ def _inverse_factor(a: FloatArray) -> FloatArray:
     return _inverse_cholesky(a * d[:, None] * d) * d
 
 
-def _front(slots: np.ndarray, block: FloatArray, touching: np.ndarray, origin: int,
-           halves: list[tuple[_Front, FloatArray, int]] | None) -> tuple[_Front, FloatArray]:
-    """Factor the front of the box whose first element is ``origin``; returns
-    it and the (q, q) Schur complement F22 - W^T W left on its interface.
+def _front(slots: np.ndarray, block: FloatArray, touching: np.ndarray, origin: int, n: int,
+           halves: list[tuple[_Front, FloatArray, np.ndarray]] | None) -> tuple[_Front, FloatArray]:
+    """Factor the front of the box whose first element is ``origin`` of the
+    n x n grid; returns it and the (q, q) Schur complement F22 - W^T W left
+    on its interface.
 
     A single element (``halves`` None) has ``block`` on its free slots as
     its front; a larger box sums the Schur complements of its halves, given
-    with their first elements' offsets.  A DOF is eliminated in the smallest
-    box that holds all ``touching[slot]`` elements touching it.
+    with their first elements' (dx, dy) offsets.  A DOF is eliminated in the
+    smallest box that holds all ``touching[slot]`` elements touching it.
     """
     if halves is None:
         local = np.flatnonzero(slots[origin] >= 0)
-        ref, occ = np.stack([np.zeros_like(local), local]), np.ones(len(local))
+        ref, occ = np.stack([np.zeros_like(local), np.zeros_like(local), local]), np.ones(len(local))
         dof = slots[origin, local]
     else:
-        ref = np.hstack([f.ref[:, f.m:] + [[offset], [0]] for f, _, offset in halves])
-        dof, first, at = np.unique(slots[origin + ref[0], ref[1]],
+        ref = np.hstack([f.ref[:, f.m:] + [[dx], [dy], [0]] for f, _, (dx, dy) in halves])
+        dof, first, at = np.unique(slots[origin + ref[1] * n + ref[0], ref[2]],
                                    return_index=True, return_inverse=True)
         occ = np.bincount(at, weights=np.concatenate([f.occ[f.m:] for f, _, _ in halves]))
         ref = ref[:, first]
@@ -321,54 +365,101 @@ def _front(slots: np.ndarray, block: FloatArray, touching: np.ndarray, origin: i
             F[m:, m:] - w.T @ w)
 
 
-def _multifrontal_cholesky(system: LinearSystem) -> tuple[list[list[tuple[_Front, np.ndarray]]], int]:
-    """Multifrontal Cholesky (Duff & Reid, ACM TOMS 9, 1983) in the order of
-    :func:`_dissection`, down to single elements.
+def _to_factor(tree: dict[int, tuple[int, ...]], store: FrontStore) -> set[int]:
+    """The classes of ``tree`` to factor with ``store``: those it holds no
+    front for, and the halves of these whose Schur complement it does not
+    hold."""
+    todo = {key for key in tree if key not in store.fronts}
+    stack = list(todo)
+    while stack:
+        for half in tree[stack.pop()]:
+            if half not in store.schur and half not in todo:
+                todo.add(half)
+                stack.append(half)
+    return todo
 
-    On the uniform grid every element carries ``system.element_matrix``,
-    rounded to float64 once here, and the boxes of one class see the same
-    slot pattern, so each class's front is factored once, bottom-up.
-    Returns, per depth from the root, each class's front and its boxes'
-    (boxes, m + q) front slots, and the fill 2 nnz(L): the count of L plus U
-    of an LU in this order.
+
+def _trim(store: FrontStore, n: int) -> None:
+    """Keep what the grid after the n x n one needs of ``store``: the fronts
+    of its classes and the Schur complements that its new classes read."""
+    if 2 * n > store.finest:
+        store.fronts, store.schur, store.dissection = {}, {}, {}
+        return
+    store.dissection = {2 * n: _dissection(2 * n)}
+    tree = _class_tree(store.dissection[2 * n])
+    reads = {half for key in _to_factor(tree, store) for half in tree[key]}
+    store.fronts = {k: f for k, f in store.fronts.items() if k in tree}
+    store.schur = {k: s for k, s in store.schur.items() if k in reads}
+
+
+def _multifrontal_cholesky(system: LinearSystem, store: FrontStore,
+                           ) -> tuple[list[list[tuple[_Front, np.ndarray]]], int, int]:
+    """Multifrontal Cholesky (Duff & Reid, ACM TOMS 9, 1983) of A_1 in the
+    order of :func:`_dissection`, down to single elements.
+
+    On the uniform grid every element carries A_1, ``system.element_matrix``
+    without its ``dof_scale``, rounded to float64 once here, and the boxes of
+    one class see the same slot pattern, so each class's front is factored
+    once, bottom-up, and only if ``store`` does not hold it from a coarser
+    grid; the store is trimmed for the next grid right after.  Returns, per
+    depth from the root, each class's front and its boxes' (boxes, m + q)
+    front slots; the fill 2 nnz(L), the count of L plus U of an LU in this
+    order; and the number of classes factored.
     """
-    slots, block = system.element_slots, system.element_matrix.astype(float)
+    slots, block = system.element_slots, system.element_matrix
+    if system.dof_scale is not None:
+        block = block / np.outer(system.dof_scale, system.dof_scale)
+    block = block.astype(float)
+    if store.block is None or not np.array_equal(store.block, block):
+        store.block, store.fronts, store.schur, store.dissection = block, {}, {}, {}
     n = round(len(slots) ** 0.5)
+    depths = store.dissection.pop(n, None) or _dissection(n)
+    tree = _class_tree(depths)
+    todo = _to_factor(tree, store)
     touching = np.bincount(slots[slots >= 0], minlength=system.n_free)
-    fronts: dict[int, tuple[_Front, FloatArray]] = {}  # and the Schur complement
     factor, fill = [], 0
-    below_origin = below_key = None  # of the next depth; its boxes are the halves
-    for box, key, half_cols in reversed(_dissection(n)):
+    below = None  # the next depth's boxes; its boxes are the halves
+    for box, keys, first, kind, half_cols in reversed(depths):
         origin = box[1] * n + box[0]
-        _, first, kind = np.unique(key, return_index=True, return_inverse=True)
         level = []
-        for c, b in enumerate(first):
-            if key[b] not in fronts:
+        for c, (key, b) in enumerate(zip(keys.tolist(), first)):
+            if key in todo:
                 halves = None if half_cols[0, b] < 0 else [
-                    (*fronts[below_key[j]], below_origin[j] - origin[b]) for j in half_cols[:, b]]
-                fronts[key[b]] = _front(slots, block, touching, origin[b], halves)
-            f = fronts[key[b]][0]
-            s = slots[origin[kind == c][:, None] + f.ref[0], f.ref[1]]
+                    (store.fronts[k], store.schur[k], below[:2, j] - box[:2, b])
+                    for j, k in zip(half_cols[:, b], tree[key])]
+                store.fronts[key], store.schur[key] = _front(
+                    slots, block, touching, origin[b], n, halves)
+            f = store.fronts[key]
+            s = slots[origin[kind == c][:, None] + f.ref[1] * n + f.ref[0], f.ref[2]]
             level.append((f, s))
             fill += len(s) * f.m * (f.m + 1 + 2 * (s.shape[1] - f.m))
         factor.append(level)
-        below_origin, below_key = origin, key
-    return factor[::-1], fill
+        below = box
+    _trim(store, n)
+    return factor[::-1], fill, len(todo)
 
 
-def _direct_solver(system: LinearSystem) -> tuple[Callable[[FloatArray], tuple[FloatArray, int]], int]:
+def _direct_solver(system: LinearSystem, store: FrontStore,
+                   ) -> tuple[Callable[[FloatArray], tuple[FloatArray, int]], int, int]:
     """:func:`_multifrontal_cholesky`'s factor and its triangular solves;
-    returns the solver and the fill.
+    returns the solver, the fill and the number of classes factored.
 
-    Forward, deepest boxes first, each class gathers its boxes' eliminated
-    entries, applies M and scatters the update W^T z onto the interfaces;
-    backward, root first, it maps each box's front values to its eliminated
-    ones.  Python loops run over depths and classes only.
+    With S = diag(s) over the free slots from ``system.dof_scale``, A = S
+    A_1 S, so A^-1 r = S^-1 A_1^-1 S^-1 r; s holds powers of two, so
+    both scalings are exact.  Forward, deepest boxes first, each class
+    gathers its boxes' eliminated entries, applies M and scatters the update
+    W^T z onto the interfaces; backward, root first, it maps each box's front
+    values to its eliminated ones.  Python loops run over depths and classes
+    only.
     """
-    factor, fill = _multifrontal_cholesky(system)
+    factor, fill, fronts = _multifrontal_cholesky(system, store)
+    slots = system.element_slots
+    scale = np.ones(system.n_free)
+    if system.dof_scale is not None:
+        scale[slots[slots >= 0]] = np.broadcast_to(system.dof_scale, slots.shape)[slots >= 0]
 
     def solve_ll(r: FloatArray) -> tuple[FloatArray, int]:
-        v = r.copy()
+        v = r / scale
         for level in reversed(factor):
             for f, s in level:
                 z = v[s[:, :f.m]] @ f.back[:f.m].T
@@ -378,9 +469,9 @@ def _direct_solver(system: LinearSystem) -> tuple[Callable[[FloatArray], tuple[F
         for level in factor:
             for f, s in level:
                 v[s[:, :f.m]] = v[s] @ f.back
-        return v, 1
+        return v / scale, 1
 
-    return solve_ll, fill
+    return solve_ll, fill, fronts
 
 
 def _element_sum(groups: list[np.ndarray], blocks: list[FloatArray],
@@ -399,17 +490,20 @@ def _element_sum(groups: list[np.ndarray], blocks: list[FloatArray],
     return apply
 
 
-def _element_block_preconditioner(system: LinearSystem, product: Callable[[FloatArray], FloatArray],
+def _element_block_preconditioner(system: LinearSystem, block: FloatArray,
                                   ) -> Callable[[FloatArray], FloatArray]:
     """Additive Schwarz over elements: r -> sum_e R_e^T A_ee^-1 R_e r.
 
     Elements that touch the same sides of the square (:func:`_sides`) share
     A_ee, the operator restricted to their free slots, so it is read once per
-    class, from ``product`` on the unit vectors of the first element's free
-    slots, with the identity on constrained slots; each distinct block is
-    inverted once through :func:`_inverse_factor` and applied to all of its
-    elements in one product.  Only the operator's products enter, never the
-    global factorization, so CG stays an independent check of the direct solve.
+    class, from CG's product with the float64 element ``block`` on the unit
+    vectors of the first element's free slots, with the identity on
+    constrained slots.  The product runs over the elements that touch a
+    probed slot only: these hold every term on the probed slots, summed in
+    the same element order.  Each distinct block is inverted once through
+    :func:`_inverse_factor` and applied to all of its elements in one
+    product.  Only the operator's products enter, never the global
+    factorization, so CG stays an independent check of the direct solve.
     """
     slots, n = system.element_slots, system.n_free
     side = round(len(slots) ** 0.5)
@@ -418,6 +512,7 @@ def _element_block_preconditioner(system: LinearSystem, product: Callable[[Float
                               return_inverse=True)
     rep = slots[first]
     probe = np.unique(rep[rep >= 0])
+    product = _element_sum([slots[np.isin(slots, probe).any(axis=1)]], [block], n)
     sub = np.zeros((len(probe) + 1,) * 2)  # A on the probed slots; last: constrained
     for row, s in enumerate(probe):
         sub[row, :-1] = product(np.eye(1, n, s)[0])[probe]
@@ -425,11 +520,15 @@ def _element_block_preconditioner(system: LinearSystem, product: Callable[[Float
     blocks = sub[at[:, :, None], at[:, None, :]]
     c, a = np.nonzero(rep < 0)
     blocks[c, a, a] = 1.0
-    distinct, kind = np.unique(blocks.reshape(len(blocks), -1), axis=0,
-                               return_inverse=True)
+    # distinct blocks in lexicographic order, the order of np.unique(axis=0)
+    flat = blocks.reshape(len(blocks), -1)
+    order = np.lexsort(flat.T[::-1])
+    new = np.append(True, np.any(flat[order[1:]] != flat[order[:-1]], axis=1))
+    kind = np.empty(len(blocks), dtype=np.int64)
+    kind[order] = np.cumsum(new) - 1
     kind = kind[cls]
     # A_ee^-1 = M^T M for M = L^-1; numpy forms M^T M by syrk, exactly symmetric
-    inv = [m.T @ m for m in map(_inverse_factor, distinct.reshape(-1, *blocks.shape[1:]))]
+    inv = [m.T @ m for m in map(_inverse_factor, blocks[order[new]])]
     by_kind = slots[np.argsort(kind, kind="stable")]
     groups = np.split(by_kind, np.cumsum(np.bincount(kind))[:-1])
     return _element_sum(groups, inv, n)
@@ -443,9 +542,9 @@ def _pcg_solver(system: LinearSystem, rel_tol: float) -> Callable[[FloatArray], 
     ``rel_tol`` relative to its right-hand side, and raises
     :class:`NotConverged` after 50 * dim iterations.
     """
-    product = _element_sum([system.element_slots], [system.element_matrix.astype(float)],
-                           system.n_free)
-    precond = _element_block_preconditioner(system, product)
+    block = system.element_matrix.astype(float)
+    product = _element_sum([system.element_slots], [block], system.n_free)
+    precond = _element_block_preconditioner(system, block)
     max_iter = 50 * system.n_free
 
     def pcg(b: FloatArray) -> tuple[FloatArray, int]:
@@ -512,14 +611,16 @@ def _refine(system: LinearSystem,
 
 
 def solve(system: LinearSystem, rel_tol: float = 1e-13,
-          method: str = "direct") -> SolveResult:
+          method: str = "direct", store: FrontStore | None = None) -> SolveResult:
     """Solve the reduced system; returns the expanded global coefficients.
 
     method: "direct" (nested-dissection Cholesky factored from
     ``element_matrix`` on ``element_slots``; see :func:`_direct_solver`) or
     "cg" (conjugate gradients on the float64 element block, preconditioned
     by element blocks, each solve to relative residual ``rel_tol`` within
-    50 * dim iterations).  Both methods are refined on a matrix-free
+    50 * dim iterations).  ``store`` lends the direct method the fronts of
+    a study's coarser grids; without one it factors every class afresh.
+    Both methods are refined on a matrix-free
     long-double residual (see :func:`_refine`), so they return the solution
     of the long-double operator up to its conditioning times the
     long-double unit roundoff; where ``np.longdouble`` is float64, not below
@@ -531,13 +632,14 @@ def solve(system: LinearSystem, rel_tol: float = 1e-13,
     if method not in SOLVER_METHODS:
         raise ValueError(f"unknown solver method {method!r}")
     if system.n_free == 0:
-        return SolveResult(_expand(system, np.zeros(0)), 0, 0.0, "empty", 0)
+        return SolveResult(_expand(system, np.zeros(0)), 0, 0.0, "empty", 0, 0)
     if method == "direct":
-        correction, fill = _direct_solver(system)
+        correction, fill, made = _direct_solver(
+            system, FrontStore() if store is None else store)
     else:
-        correction, fill = _pcg_solver(system, rel_tol), 0
+        correction, fill, made = _pcg_solver(system, rel_tol), 0, 0
     x, iterations, rel = _refine(system, correction)
-    return SolveResult(_expand(system, x), iterations, rel, method, fill)
+    return SolveResult(_expand(system, x), iterations, rel, method, fill, made)
 
 
 def evaluate_on_elements(

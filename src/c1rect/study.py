@@ -171,11 +171,15 @@ def run_study(config: StudyConfig) -> StudyReport:
     the clamped reduced system internally.  Solver errors propagate with the
     level annotated.  Each ``meta["levels"]`` entry carries the wall time of
     the level's stages: mesh and DOF map, assembly, solve and error norms.
+    The direct solves share one :class:`assembly.FrontStore`, so each class
+    of boxes is factored once per study; ``fronts`` counts the classes a
+    level factored.
     """
     basis = element_basis(config.family, config.k)
     exact = exact_solution()
     rows: list[StudyRow] = []
     level_meta = []
+    store = assembly.FrontStore(finest=2 ** (config.max_level - 1))
     for level in range(1, config.max_level + 1):
         t0 = time.perf_counter()
         mesh = build_mesh(level)
@@ -185,7 +189,7 @@ def run_study(config: StudyConfig) -> StudyReport:
         t2 = time.perf_counter()
         try:
             result = assembly.solve(system, rel_tol=config.rel_tol,
-                                    method=config.solver)
+                                    method=config.solver, store=store)
         except (assembly.NotConverged, assembly.NotSPD) as err:
             err.args = (f"level {level}: {err}",)
             raise
@@ -201,6 +205,7 @@ def run_study(config: StudyConfig) -> StudyReport:
                            "iterations": result.iterations,
                            "residual": result.residual,
                            "free_dofs": system.n_free, "fill": result.fill,
+                           "fronts": result.fronts,
                            "dof_map_s": t1 - t0, "assemble_s": t2 - t1,
                            "solve_s": t3 - t2, "errors_s": t4 - t3})
     return StudyReport(config=config, rows=rows, meta={

@@ -191,9 +191,7 @@ def test_direct_solve_builds_no_matrix():
 
 
 def _preconditioner(system):
-    product = assembly._element_sum([system.element_slots],
-                                    [system.element_matrix.astype(float)], system.n_free)
-    return assembly._element_block_preconditioner(system, product)
+    return assembly._element_block_preconditioner(system, system.element_matrix.astype(float))
 
 
 @pytest.mark.parametrize("family,k,n", [
@@ -237,10 +235,35 @@ def test_cg_inverts_one_block_per_class(monkeypatch, family, k, level):
     assert 0 < len(calls) <= 9
 
 
+@pytest.mark.parametrize("family,k,level", [(Family.ENRICHED_P, 4, 5), (Family.BFS_Q, 8, 4)])
+def test_preconditioner_blocks_equal_whole_grid_probes(monkeypatch, family, k, level):
+    # the block of each class's first element, read by whole-grid products on
+    # the unit vectors of its free slots, constrained slots set to the identity
+    _, _, _, system = _system(family, k, level, exact_solution().f)
+    slots, n = system.element_slots, system.n_free
+    product = assembly._element_sum([slots], [system.element_matrix.astype(float)], n)
+    side = 2 ** (level - 1)
+    blocks = []
+    for e in (0, 1, side - 1, side, side + 1, 2 * side - 1,
+              side * (side - 1), side * (side - 1) + 1, side * side - 1):
+        free = slots[e] >= 0
+        block = np.eye(slots.shape[1])
+        block[np.ix_(free, free)] = [product(np.eye(1, n, s)[0])[slots[e, free]]
+                                     for s in slots[e, free]]
+        blocks.append(block.ravel())
+    distinct = np.unique(blocks, axis=0).reshape(-1, *block.shape)
+    inverted = []
+    inverse_factor = assembly._inverse_factor
+    monkeypatch.setattr(assembly, "_inverse_factor",
+                        lambda a: inverted.append(a) or inverse_factor(a))
+    _preconditioner(system)
+    assert np.array_equal(inverted, distinct)
+
+
 def _eliminated(system):
     """Free slots in the order the direct factor eliminates them, deepest
     boxes first."""
-    factor, _ = assembly._multifrontal_cholesky(system)
+    factor, *_ = assembly._multifrontal_cholesky(system, assembly.FrontStore())
     return np.concatenate([s[:, :f.m].ravel() for level in factor[::-1] for f, s in level])
 
 
@@ -280,7 +303,7 @@ def test_nested_dissection_top_split_decouples_halves(family, k, level):
     assert system.matrix[left][:, right].nnz == 0
     # the root class is the one box, the whole grid, with no interface; it
     # eliminates exactly the slots that touch both halves
-    factor, _ = assembly._multifrontal_cholesky(system)
+    factor, *_ = assembly._multifrontal_cholesky(system, assembly.FrontStore())
     (root, s), = factor[0]
     assert s.shape == (1, root.m)
     assert np.array_equal(np.sort(s[0]), np.flatnonzero(~left & ~right))
@@ -322,10 +345,47 @@ def test_direct_factors_one_front_per_class(monkeypatch, family, k):
     # level 5: 511 boxes on 9 depths, at most 9 classes on a depth
     _, _, _, system = _system(family, k, 5, exact_solution().f)
     calls = _count_cholesky(monkeypatch)
-    factor, _ = assembly._multifrontal_cholesky(system)
+    factor, *_ = assembly._multifrontal_cholesky(system, assembly.FrontStore())
     assert sum(len(s) for level in factor for _, s in level) == 511
     assert len(factor) == 9 and max(len(level) for level in factor) == 9
     assert len(calls) <= 9 * len(factor)
+
+
+@pytest.mark.parametrize("family,k,level,warm", [
+    (Family.ENRICHED_P, 4, 5, (1, 2, 3, 4)),
+    (Family.ENRICHED_P, 8, 4, (1, 2, 3)),  # a level on the roundoff floor
+    (Family.BFS_Q, 8, 4, (1, 2, 3)),
+])
+def test_warm_front_store_matches_fresh_solve(family, k, level, warm):
+    store = assembly.FrontStore(finest=2 ** (level - 1))
+    for coarse in warm:
+        solve(_system(family, k, coarse, exact_solution().f)[3], store=store)
+    system = _system(family, k, level, exact_solution().f)[3]
+    reused = solve(system, store=store)
+    fresh = solve(system)
+    assert reused.fronts < fresh.fronts
+    assert np.array_equal(reused.coeffs, fresh.coeffs)
+    assert (reused.iterations, reused.residual, reused.fill) == (
+        fresh.iterations, fresh.residual, fresh.fill)
+    # the finest grid keeps nothing
+    assert store.fronts == store.schur == {}
+
+
+@pytest.mark.parametrize("family,level", [
+    # another element block: the store starts afresh
+    (Family.BFS_Q, 4),
+    # a coarser grid: after level 4 the store holds the fronts of level 3's
+    # corner classes but not the Schur complements its new classes read, so
+    # it factors them again
+    (Family.ENRICHED_P, 3),
+])
+def test_front_store_used_out_of_order_matches_fresh_solve(family, level):
+    store = assembly.FrontStore(finest=16)
+    solve(_system(Family.ENRICHED_P, 4, 4, exact_solution().f)[3], store=store)
+    system = _system(family, 4, level, exact_solution().f)[3]
+    reused, fresh = solve(system, store=store), solve(system)
+    assert np.array_equal(reused.coeffs, fresh.coeffs)
+    assert reused.fronts == fresh.fronts
 
 
 @pytest.mark.parametrize("family", list(Family))

@@ -1,5 +1,7 @@
 import copy
+import gc
 import math
+import weakref
 from collections import Counter
 from dataclasses import replace
 
@@ -203,6 +205,42 @@ def test_meta_records_solver_and_quadrature():
     for row in rep.meta["levels"]:
         for stage in ("dof_map_s", "assemble_s", "solve_s", "errors_s"):
             assert row[stage] >= 0.0
+
+
+@pytest.mark.parametrize("family,k,levels,fronts", [
+    (Family.ENRICHED_P, 4, 6, [0, 7, 18, 21, 21, 21]),
+    (Family.BFS_Q, 8, 4, [1, 7, 18, 21]),
+])
+def test_study_factors_each_class_once(monkeypatch, family, k, levels, fronts):
+    made, kept, held, stores = [], [], [], []
+    front, solve = assembly._front, assembly.solve
+
+    def counting(*args):
+        made.append(args)
+        return front(*args)
+
+    def keeping(system, **kwargs):
+        result = solve(system, **kwargs)
+        kept.append(len(kwargs["store"].schur))
+        held.append(len(kwargs["store"].fronts))
+        stores.append(weakref.ref(kwargs["store"]))
+        return result
+
+    monkeypatch.setattr(assembly, "_front", counting)
+    monkeypatch.setattr(assembly, "solve", keeping)
+    rep = run_study(StudyConfig(family=family, k=k, max_level=levels))
+    assert [row["fronts"] for row in rep.meta["levels"]] == fronts
+    assert len(made) == sum(fronts)
+    # Schur complements kept for the next level's new classes: the four
+    # (n/2)^2 corner boxes, two n/4 x n/2 and three (n/4)^2 boxes
+    assert max(kept[:-1]) == 9 and kept[-1] == 0
+    # each level keeps exactly the fronts that the next one reuses
+    for level in range(1, levels):
+        classes = assembly._class_tree(assembly._dissection(2 ** level))
+        assert held[level - 1] + fronts[level] == len(classes)
+    assert held[-1] == 0
+    gc.collect()
+    assert len(stores) == levels and all(ref() is None for ref in stores)
 
 
 def test_direct_solve_above_dense_size():
