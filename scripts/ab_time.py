@@ -10,7 +10,10 @@ repetitions and B on odd ones.  One repetition of a side times
 ``run_study`` over all cases of the workload, after one untimed repetition
 that builds the element bases.  The script prints each side's median and
 quartiles and the median of the per-repetition ratio B / A with its
-quartiles.
+quartiles.  After the timed repetitions each side runs the workload once
+more, untimed, under ``tracemalloc``, and the script prints that run's
+traced peak (numpy reports its array buffers to ``tracemalloc``), so a
+memory claim gets the same in-process A/B as a time claim.
 
 On a shared machine separate runs of the same code drift by tens of
 percent; the ratio of neighbouring runs in one process is the stable
@@ -23,6 +26,7 @@ import importlib.util
 import os
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 os.environ.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
@@ -54,6 +58,16 @@ def run(c1rect, cases) -> float:
     return time.perf_counter() - start
 
 
+def traced_peak(c1rect, cases) -> float:
+    """Peak of the memory traced by ``tracemalloc`` over one run, in MB."""
+    tracemalloc.start()
+    try:
+        run(c1rect, cases)
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
 def quartiles(values) -> str:
     q1, q2, q3 = np.percentile(values, [25, 50, 75])
     return f"{q2:.4f} (quartiles {q1:.4f}-{q3:.4f})"
@@ -82,6 +96,9 @@ def main() -> None:
         print(f"  B {quartiles(times[:, 1])} s")
         print(f"  B / A {quartiles(times[:, 1] / times[:, 0])}, "
               f"B faster in {np.count_nonzero(times[:, 1] < times[:, 0])} of {args.reps}")
+        peaks = [traced_peak(side, cases) for side in sides]
+        print(f"  traced peak: A {peaks[0]:.2f} MB, B {peaks[1]:.2f} MB, "
+              f"B / A {peaks[1] / peaks[0]:.4f}")
 
 
 if __name__ == "__main__":

@@ -21,6 +21,8 @@ of :class:`LinearSystem` assembles it, as a reference.
 
 from __future__ import annotations
 
+from collections import Counter
+from collections.abc import Container
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Callable
@@ -215,7 +217,8 @@ def _apply(slots: np.ndarray, block: np.ndarray, x: FloatArray) -> np.ndarray:
     """A x in the dtype of ``block``, unassembled: gather x on every element's
     slots, multiply by the block, scatter-add; slot -1 is a padded last entry."""
     y = np.zeros(len(x) + 1, dtype=block.dtype)
-    np.add.at(y, slots, np.append(x, 0.0).astype(block.dtype)[slots] @ block)
+    g = np.append(x, 0.0).astype(block.dtype)[slots]
+    np.add.at(y, slots, np.einsum("ei,ij->ej", g, block))
     return y[:-1]
 
 
@@ -284,9 +287,10 @@ class FrontStore:
 
     A class key holds no grid size, and the fronts factor A_1, the element
     block without its level scaling (``LinearSystem.dof_scale``), so a front
-    does not depend on the level.  Right after each factor the store drops
-    the fronts that the next grid does not use and the Schur complements
-    that the next grid's new classes do not read; after ``finest`` it keeps
+    does not depend on the level.  A factor drops each Schur complement
+    right after the last front of its grid that reads it, unless the next
+    grid's new classes read it, and after the factor the store drops the
+    fronts that the next grid does not use; after ``finest`` it keeps
     nothing.  A system with another A_1 empties it.
     """
 
@@ -365,31 +369,19 @@ def _front(slots: np.ndarray, block: FloatArray, touching: np.ndarray, origin: i
             F[m:, m:] - w.T @ w)
 
 
-def _to_factor(tree: dict[int, tuple[int, ...]], store: FrontStore) -> set[int]:
-    """The classes of ``tree`` to factor with ``store``: those it holds no
-    front for, and the halves of these whose Schur complement it does not
-    hold."""
-    todo = {key for key in tree if key not in store.fronts}
+def _to_factor(tree: dict[int, tuple[int, ...]], fronts: Container[int],
+               schur: Container[int]) -> set[int]:
+    """The classes of ``tree`` to factor with the classes whose ``fronts``
+    and ``schur`` complements are held: those without a front, and the
+    halves of these whose Schur complement is not held."""
+    todo = {key for key in tree if key not in fronts}
     stack = list(todo)
     while stack:
         for half in tree[stack.pop()]:
-            if half not in store.schur and half not in todo:
+            if half not in schur and half not in todo:
                 todo.add(half)
                 stack.append(half)
     return todo
-
-
-def _trim(store: FrontStore, n: int) -> None:
-    """Keep what the grid after the n x n one needs of ``store``: the fronts
-    of its classes and the Schur complements that its new classes read."""
-    if 2 * n > store.finest:
-        store.fronts, store.schur, store.dissection = {}, {}, {}
-        return
-    store.dissection = {2 * n: _dissection(2 * n)}
-    tree = _class_tree(store.dissection[2 * n])
-    reads = {half for key in _to_factor(tree, store) for half in tree[key]}
-    store.fronts = {k: f for k, f in store.fronts.items() if k in tree}
-    store.schur = {k: s for k, s in store.schur.items() if k in reads}
 
 
 def _multifrontal_cholesky(system: LinearSystem, store: FrontStore,
@@ -401,10 +393,12 @@ def _multifrontal_cholesky(system: LinearSystem, store: FrontStore,
     without its ``dof_scale``, rounded to float64 once here, and the boxes of
     one class see the same slot pattern, so each class's front is factored
     once, bottom-up, and only if ``store`` does not hold it from a coarser
-    grid; the store is trimmed for the next grid right after.  Returns, per
-    depth from the root, each class's front and its boxes' (boxes, m + q)
-    front slots; the fill 2 nnz(L), the count of L plus U of an LU in this
-    order; and the number of classes factored.
+    grid.  Each Schur complement leaves the store right after the last front
+    of this grid that reads it, unless the next grid's new classes read it;
+    after the factor the store keeps the fronts of the next grid's classes.
+    Returns, per depth from the root, each class's front and its boxes'
+    (boxes, m + q) front slots; the fill 2 nnz(L), the count of L plus U of
+    an LU in this order; and the number of classes factored.
     """
     slots, block = system.element_slots, system.element_matrix
     if system.dof_scale is not None:
@@ -415,7 +409,21 @@ def _multifrontal_cholesky(system: LinearSystem, store: FrontStore,
     n = round(len(slots) ** 0.5)
     depths = store.dissection.pop(n, None) or _dissection(n)
     tree = _class_tree(depths)
-    todo = _to_factor(tree, store)
+    todo = _to_factor(tree, store.fronts, store.schur)
+    # the next grid's classes and the Schur complements its new classes read
+    store.dissection, after, keep = {}, {}, set()
+    if 2 * n <= store.finest:
+        store.dissection = {2 * n: _dissection(2 * n)}
+        after = _class_tree(store.dissection[2 * n])
+        keep = {half for key in _to_factor(after, store.fronts.keys() | todo,
+                                           store.schur.keys() | todo)
+                for half in after[key]}
+    # reads left of each Schur complement, counted per depth: where n is not
+    # a power of two, a class recurs at two depths and is factored at each;
+    # a held one that neither this grid nor the next reads goes now
+    reads = Counter(half for _, keys, _, _, _ in depths for key in keys.tolist()
+                    if key in todo for half in tree[key])
+    store.schur = {k: s for k, s in store.schur.items() if k in reads or k in keep}
     touching = np.bincount(slots[slots >= 0], minlength=system.n_free)
     factor, fill = [], 0
     below = None  # the next depth's boxes; its boxes are the halves
@@ -427,15 +435,21 @@ def _multifrontal_cholesky(system: LinearSystem, store: FrontStore,
                 halves = None if half_cols[0, b] < 0 else [
                     (store.fronts[k], store.schur[k], below[:2, j] - box[:2, b])
                     for j, k in zip(half_cols[:, b], tree[key])]
-                store.fronts[key], store.schur[key] = _front(
-                    slots, block, touching, origin[b], n, halves)
+                store.fronts[key], schur = _front(slots, block, touching, origin[b], n, halves)
+                del halves  # so that the Schur complements can be freed below
+                for k in tree[key]:
+                    reads[k] -= 1
+                    if not reads[k] and k not in keep:
+                        del store.schur[k]
+                if reads[key] or key in keep:
+                    store.schur[key] = schur
             f = store.fronts[key]
             s = slots[origin[kind == c][:, None] + f.ref[1] * n + f.ref[0], f.ref[2]]
             level.append((f, s))
             fill += len(s) * f.m * (f.m + 1 + 2 * (s.shape[1] - f.m))
         factor.append(level)
         below = box
-    _trim(store, n)
+    store.fronts = {k: f for k, f in store.fronts.items() if k in after}
     return factor[::-1], fill, len(todo)
 
 
@@ -453,6 +467,8 @@ def _direct_solver(system: LinearSystem, store: FrontStore,
     only.
     """
     factor, fill, fronts = _multifrontal_cholesky(system, store)
+    # a front that eliminates nothing leaves its slots as they are
+    factor = [[(f, s) for f, s in level if f.m] for level in factor]
     slots = system.element_slots
     scale = np.ones(system.n_free)
     if system.dof_scale is not None:
@@ -499,10 +515,10 @@ def _element_block_preconditioner(system: LinearSystem, block: FloatArray,
     class, from CG's product with the float64 element ``block`` on the unit
     vectors of the first element's free slots, with the identity on
     constrained slots.  The product runs over the elements that touch a
-    probed slot only: these hold every term on the probed slots, summed in
-    the same element order.  Each distinct block is inverted once through
-    :func:`_inverse_factor` and applied to all of its elements in one
-    product.  Only the operator's products enter, never the global
+    probed slot only, on their own slots: these hold every term on the
+    probed slots, summed in the same element order.  Each distinct block is
+    inverted once through :func:`_inverse_factor` and applied to all of its
+    elements in one product.  Only the operator's products enter, never the global
     factorization, so CG stays an independent check of the direct solve.
     """
     slots, n = system.element_slots, system.n_free
@@ -512,17 +528,22 @@ def _element_block_preconditioner(system: LinearSystem, block: FloatArray,
                               return_inverse=True)
     rep = slots[first]
     probe = np.unique(rep[rep >= 0])
-    product = _element_sum([slots[np.isin(slots, probe).any(axis=1)]], [block], n)
+    # the touched elements' slots, numbered by their rank among these slots
+    touched = slots[np.isin(slots, probe).any(axis=1)]
+    local = np.unique(touched[touched >= 0])
+    product = _element_sum([np.where(touched >= 0, np.searchsorted(local, touched), -1)],
+                           [block], len(local))
     sub = np.zeros((len(probe) + 1,) * 2)  # A on the probed slots; last: constrained
-    for row, s in enumerate(probe):
-        sub[row, :-1] = product(np.eye(1, n, s)[0])[probe]
+    at = np.searchsorted(local, probe)
+    for row, s in enumerate(at):
+        sub[row, :-1] = product(np.eye(1, len(local), s)[0])[at]
     at = np.where(rep >= 0, np.searchsorted(probe, rep), len(probe))
     blocks = sub[at[:, :, None], at[:, None, :]]
     c, a = np.nonzero(rep < 0)
     blocks[c, a, a] = 1.0
     # distinct blocks in lexicographic order, the order of np.unique(axis=0)
     flat = blocks.reshape(len(blocks), -1)
-    order = np.lexsort(flat.T[::-1])
+    order = np.array(sorted(range(len(flat)), key=flat.tolist().__getitem__))
     new = np.append(True, np.any(flat[order[1:]] != flat[order[:-1]], axis=1))
     kind = np.empty(len(blocks), dtype=np.int64)
     kind[order] = np.cumsum(new) - 1

@@ -104,12 +104,16 @@ def error_norms(
         return assembly.on_quadrature_grid(exact_fn, mesh, q) - \
             assembly.evaluate_on_elements(mesh, dof_map, basis, coeffs, None, deriv)
 
-    e00 = error(exact.u, (0, 0))
-    e20 = error(exact.uxx, (2, 0))
-    e11 = error(exact.uxy, (1, 1))
-    e02 = error(exact.uyy, (0, 2))
-    l2 = h**2 * float(np.sum((e00 * e00) @ q.weights))
-    h2 = h**2 * float(np.sum((e20 * e20 + 2.0 * e11 * e11 + e02 * e02) @ q.weights))
+    e = error(exact.u, (0, 0))
+    l2 = h**2 * float(np.sum((e * e) @ q.weights))
+    # one error grid at a time, summed as (e_xx^2 + 2 e_xy^2) + e_yy^2
+    e = error(exact.uxx, (2, 0))
+    integrand = e * e
+    e = error(exact.uxy, (1, 1))
+    integrand += 2.0 * e * e
+    e = error(exact.uyy, (0, 2))
+    integrand += e * e
+    h2 = h**2 * float(np.sum(integrand @ q.weights))
     return math.sqrt(l2), math.sqrt(h2)
 
 

@@ -100,6 +100,25 @@ def test_error_norms_of_zero_solution():
     assert h2 == pytest.approx(math.sqrt(2.0) * math.pi**2, rel=1e-10)
 
 
+def test_error_norms_equal_four_grid_formula(rng):
+    # one error grid at a time sums the same terms in the same order as the
+    # four grids at once; n = 24 makes h inexact and the grids 0.5 MB each
+    exact = exact_solution()
+    eb = element_basis(Family.ENRICHED_P, 5)
+    mesh = RectMesh(24)
+    dm = clamped_flags(build_dof_map(mesh, eb))
+    coeffs = interpolate(exact, mesh, dm, eb) + 1e-3 * rng.standard_normal(dm.total)
+    q = assembly.reference_table(eb).quad
+    e00, e20, e11, e02 = (
+        assembly.on_quadrature_grid(fn, mesh, q)
+        - assembly.evaluate_on_elements(mesh, dm, eb, coeffs, None, d)
+        for fn, d in ((exact.u, (0, 0)), (exact.uxx, (2, 0)), (exact.uxy, (1, 1)),
+                      (exact.uyy, (0, 2))))
+    l2 = mesh.h**2 * float(np.sum((e00 * e00) @ q.weights))
+    h2 = mesh.h**2 * float(np.sum((e20 * e20 + 2.0 * e11 * e11 + e02 * e02) @ q.weights))
+    assert error_norms(mesh, dm, eb, coeffs, exact) == (math.sqrt(l2), math.sqrt(h2))
+
+
 def test_interpolation_reproduces_total_degree_space(rng):
     # a global polynomial of total degree k interpolates exactly
     k = 5
@@ -213,14 +232,25 @@ def test_meta_records_solver_and_quadrature():
 ])
 def test_study_factors_each_class_once(monkeypatch, family, k, levels, fronts):
     made, kept, held, stores = [], [], [], []
+    # at each _front call, as the previous call left the store, and after
+    # each solve: the level, the Schur complements held and those read
+    events, store = [], []
     front, solve = assembly._front, assembly.solve
+
+    def snapshot(halves):
+        events.append((len(kept), list(store[0].schur.values()),
+                       [s for _, s, _ in halves or ()]))
 
     def counting(*args):
         made.append(args)
+        snapshot(args[-1])
         return front(*args)
 
     def keeping(system, **kwargs):
+        store.append(kwargs["store"])
         result = solve(system, **kwargs)
+        snapshot(None)
+        store.clear()
         kept.append(len(kwargs["store"].schur))
         held.append(len(kwargs["store"].fronts))
         stores.append(weakref.ref(kwargs["store"]))
@@ -239,6 +269,12 @@ def test_study_factors_each_class_once(monkeypatch, family, k, levels, fronts):
         classes = assembly._class_tree(assembly._dissection(2 ** level))
         assert held[level - 1] + fronts[level] == len(classes)
     assert held[-1] == 0
+    # each Schur complement held is read later on its level or by the next
+    # level's new classes: at most 11 at once, not all of a level's 29
+    for at, (level, schur, _) in enumerate(events):
+        later = [r for lv, _, reads in events[at:] if lv <= level + 1 for r in reads]
+        assert all(any(s is r for r in later) for s in schur)
+    assert max(len(schur) for _, schur, _ in events) <= 11
     gc.collect()
     assert len(stores) == levels and all(ref() is None for ref in stores)
 
