@@ -1,14 +1,16 @@
 """Interleaved A/B timing of two checkouts' studies in one process.
 
     python scripts/ab_time.py <checkout A> <checkout B> [--reps 40] [--workload study-deep]
+                              [--solver cg]
 
 Imports ``src/c1rect`` of each checkout under its own package name
 (``c1rect_a``, ``c1rect_b``), so both sides share one interpreter, one BLAS
 and the same machine state, and alternates them on the study cases of the
 benchmark's workloads (``perfbench/run.py``): A runs first on even
 repetitions and B on odd ones.  One repetition of a side times
-``run_study`` over all cases of the workload, after one untimed repetition
-that builds the element bases.  The script prints each side's median and
+``run_study`` over all cases of the workload, with ``--solver`` (``direct``
+by default, as the benchmark runs), after one untimed repetition that
+builds the element bases.  The script prints each side's median and
 quartiles and the median of the per-repetition ratio B / A with its
 quartiles.  After the timed repetitions each side runs the workload once
 more, untimed, under ``tracemalloc``, and the script prints that run's
@@ -50,19 +52,19 @@ def load(name: str, checkout: str):
     return module
 
 
-def run(c1rect, cases) -> float:
+def run(c1rect, cases, solver: str) -> float:
     start = time.perf_counter()
     for family, k, levels in cases:
         c1rect.run_study(c1rect.StudyConfig(family=c1rect.Family(family), k=k,
-                                            max_level=levels))
+                                            max_level=levels, solver=solver))
     return time.perf_counter() - start
 
 
-def traced_peak(c1rect, cases) -> float:
+def traced_peak(c1rect, cases, solver: str) -> float:
     """Peak of the memory traced by ``tracemalloc`` over one run, in MB."""
     tracemalloc.start()
     try:
-        run(c1rect, cases)
+        run(c1rect, cases, solver)
         return tracemalloc.get_traced_memory()[1] / 1e6
     finally:
         tracemalloc.stop()
@@ -79,6 +81,7 @@ def main() -> None:
     parser.add_argument("b", help="checkout B")
     parser.add_argument("--reps", type=int, default=40)
     parser.add_argument("--workload", choices=sorted(WORKLOADS), action="append")
+    parser.add_argument("--solver", choices=("direct", "cg"), default="direct")
     args = parser.parse_args()
     if args.reps < 1:
         parser.error("--reps must be positive")
@@ -86,17 +89,17 @@ def main() -> None:
     for workload in args.workload or sorted(WORKLOADS):
         cases = WORKLOADS[workload]
         for side in sides:
-            run(side, cases)
+            run(side, cases, args.solver)
         times = np.zeros((args.reps, 2))
         for rep in range(args.reps):
             for i in ((0, 1) if rep % 2 == 0 else (1, 0)):
-                times[rep, i] = run(sides[i], cases)
-        print(f"{workload}: {args.reps} repetitions of {len(cases)} studies")
+                times[rep, i] = run(sides[i], cases, args.solver)
+        print(f"{workload}: {args.reps} repetitions of {len(cases)} {args.solver} studies")
         print(f"  A {quartiles(times[:, 0])} s")
         print(f"  B {quartiles(times[:, 1])} s")
         print(f"  B / A {quartiles(times[:, 1] / times[:, 0])}, "
               f"B faster in {np.count_nonzero(times[:, 1] < times[:, 0])} of {args.reps}")
-        peaks = [traced_peak(side, cases) for side in sides]
+        peaks = [traced_peak(side, cases, args.solver) for side in sides]
         print(f"  traced peak: A {peaks[0]:.2f} MB, B {peaks[1]:.2f} MB, "
               f"B / A {peaks[1] / peaks[0]:.4f}")
 

@@ -269,14 +269,14 @@ def _class_tree(depths: list[tuple[np.ndarray, ...]]) -> dict[int, tuple[int, ..
 class _Front:
     """The front that every box of one class shares.  Its first m DOFs are
     eliminated in the box, F11 = L L^T; the other q lie on the box's interface
-    and are eliminated in an enclosing box."""
+    and are eliminated in an enclosing box.  Both solves read only W and M."""
 
     ref: np.ndarray     # (3, m + q) each DOF's element, as an offset (dx, dy)
                         # from the box's first element, and its local slot there
     occ: np.ndarray     # (m + q,) elements of the box that touch each DOF
     m: int
-    w: FloatArray       # (m, q) W = M F12 for M = L^-1
-    back: FloatArray    # (m + q, m) [M; -W^T M]: front values to eliminated ones
+    w: FloatArray       # (m, q) W = M F12
+    inv_l: FloatArray   # (m, m) M = L^-1
 
 
 @dataclass(eq=False)
@@ -364,8 +364,7 @@ def _front(slots: np.ndarray, block: FloatArray, touching: np.ndarray, origin: i
         F.ravel()[(r1[:, None] * len(F) + r1).ravel()] += s1.ravel()
     inv_l = _inverse_factor(F[:m, :m])
     w = inv_l @ F[:m, m:]
-    back = np.vstack([inv_l, -w.T @ inv_l])
-    return (_Front(ref=ref[:, order], occ=occ[order], m=m, w=w, back=back),
+    return (_Front(ref=ref[:, order], occ=occ[order], m=m, w=w, inv_l=inv_l),
             F[m:, m:] - w.T @ w)
 
 
@@ -418,11 +417,10 @@ def _multifrontal_cholesky(system: LinearSystem, store: FrontStore,
         keep = {half for key in _to_factor(after, store.fronts.keys() | todo,
                                            store.schur.keys() | todo)
                 for half in after[key]}
-    # reads left of each Schur complement, counted per depth: where n is not
-    # a power of two, a class recurs at two depths and is factored at each;
-    # a held one that neither this grid nor the next reads goes now
-    reads = Counter(half for _, keys, _, _, _ in depths for key in keys.tolist()
-                    if key in todo for half in tree[key])
+    # reads left of each Schur complement, one per class that reads it: a class
+    # that recurs at two depths (n not a power of two) is factored at the deeper
+    # one only; a held one that neither this grid nor the next reads goes now
+    reads, made = Counter(half for key in todo for half in tree[key]), len(todo)
     store.schur = {k: s for k, s in store.schur.items() if k in reads or k in keep}
     touching = np.bincount(slots[slots >= 0], minlength=system.n_free)
     factor, fill = [], 0
@@ -437,6 +435,7 @@ def _multifrontal_cholesky(system: LinearSystem, store: FrontStore,
                     for j, k in zip(half_cols[:, b], tree[key])]
                 store.fronts[key], schur = _front(slots, block, touching, origin[b], n, halves)
                 del halves  # so that the Schur complements can be freed below
+                todo.discard(key)
                 for k in tree[key]:
                     reads[k] -= 1
                     if not reads[k] and k not in keep:
@@ -450,7 +449,7 @@ def _multifrontal_cholesky(system: LinearSystem, store: FrontStore,
         factor.append(level)
         below = box
     store.fronts = {k: f for k, f in store.fronts.items() if k in after}
-    return factor[::-1], fill, len(todo)
+    return factor[::-1], fill, made
 
 
 def _direct_solver(system: LinearSystem, store: FrontStore,
@@ -462,9 +461,9 @@ def _direct_solver(system: LinearSystem, store: FrontStore,
     A_1 S, so A^-1 r = S^-1 A_1^-1 S^-1 r; s holds powers of two, so
     both scalings are exact.  Forward, deepest boxes first, each class
     gathers its boxes' eliminated entries, applies M and scatters the update
-    W^T z onto the interfaces; backward, root first, it maps each box's front
-    values to its eliminated ones.  Python loops run over depths and classes
-    only.
+    W^T z onto the interfaces; backward, root first, it sets each box's
+    eliminated values v_e to (v_e - v_i W^T) M from its interface values v_i.
+    Python loops run over depths and classes only.
     """
     factor, fill, fronts = _multifrontal_cholesky(system, store)
     # a front that eliminates nothing leaves its slots as they are
@@ -478,13 +477,13 @@ def _direct_solver(system: LinearSystem, store: FrontStore,
         v = r / scale
         for level in reversed(factor):
             for f, s in level:
-                z = v[s[:, :f.m]] @ f.back[:f.m].T
+                z = v[s[:, :f.m]] @ f.inv_l.T
                 v[s[:, :f.m]] = z
                 v -= np.bincount(s[:, f.m:].ravel(), weights=(z @ f.w).ravel(),
                                  minlength=len(v))
         for level in factor:
             for f, s in level:
-                v[s[:, :f.m]] = v[s] @ f.back
+                v[s[:, :f.m]] = (v[s[:, :f.m]] - v[s[:, f.m:]] @ f.w.T) @ f.inv_l
         return v / scale, 1
 
     return solve_ll, fill, fronts
@@ -604,29 +603,45 @@ def _pcg_solver(system: LinearSystem, rel_tol: float) -> Callable[[FloatArray], 
 def _refine(system: LinearSystem,
             correction: Callable[[FloatArray], tuple[FloatArray, int]],
             ) -> tuple[FloatArray, int, float]:
-    """Iterative refinement on a residual in the element block's precision.
+    """Iterative refinement of a pair x0 + e (Carson & Higham, SIAM J. Sci.
+    Comput. 40, 2018).
 
-    Starting from x = 0, each step solves A d = r in float64 with
-    ``correction`` for r = b - A x, evaluated by :func:`_apply` in the dtype
-    of ``element_matrix`` (long double from :func:`assemble`), and adds d.
-    It stops when d is below one ulp of max |x|, or when d stops shrinking
-    (more than half the previous step; that step is not applied).  Returns
-    x, the summed count of ``correction``, and the relative residual of x.
+    Each step solves A d = r in float64 with ``correction`` and adds d to e,
+    for r = r0 - A e: r0 = b - A x0 comes from :func:`_apply` in the dtype of
+    ``element_matrix`` (long double from :func:`assemble`), A e from the
+    float64 :func:`_element_sum`.  Once max |e| passes (u_block / u) max |x0|,
+    as on the first step from x0 = 0, x0 + e is rounded into x0, e restarts
+    at 0 and r0 is formed again; below that bound the float64 error of A e
+    stays under the block's.  It stops when d is below one ulp of max |x0 +
+    e|, or when d stops shrinking (more than half the previous step; that
+    step is not applied).  Returns x = fl(x0 + e), the summed count of
+    ``correction``, and the relative residual of x: r + A err, for the
+    rounding error err of x from TwoSum.
     """
     slots, block = system.element_slots, system.element_matrix
+    product = _element_sum([slots], [block.astype(float)], system.n_free)
+    anchor = np.finfo(block.dtype).eps / np.finfo(float).eps
     b = system.rhs.astype(block.dtype)
-    x, r, count, last = np.zeros(system.n_free), b, 0, np.inf
+    x0 = e = np.zeros(system.n_free)
+    r0, r, count, last = b, b, 0, np.inf
     while True:
         d, c = correction(r.astype(float))
         count += c
         step = float(np.max(np.abs(d)))
         if not step <= 0.5 * last:  # stopped shrinking, or not finite
             break
-        x += d
-        r = b - _apply(slots, block, x)
+        e = e + d
+        if np.max(np.abs(e)) > anchor * np.max(np.abs(x0)):
+            x0, e = x0 + e, np.zeros_like(e)
+            r0 = r = b - _apply(slots, block, x0)
+        else:
+            r = r0 - product(e)
         last = step
-        if step <= np.finfo(float).eps * np.max(np.abs(x)):
+        if step <= np.finfo(float).eps * np.max(np.abs(x0 + e)):
             break
+    x = x0 + e
+    t = x - x0
+    r = r + product((x0 - (x - t)) + (e - t))
     norm_b = float(np.linalg.norm(b))
     return x, count, float(np.linalg.norm(r)) / norm_b if norm_b > 0 else 0.0
 
@@ -641,9 +656,9 @@ def solve(system: LinearSystem, rel_tol: float = 1e-13,
     by element blocks, each solve to relative residual ``rel_tol`` within
     50 * dim iterations).  ``store`` lends the direct method the fronts of
     a study's coarser grids; without one it factors every class afresh.
-    Both methods are refined on a matrix-free
-    long-double residual (see :func:`_refine`), so they return the solution
-    of the long-double operator up to its conditioning times the
+    Both methods are refined around one matrix-free
+    long-double residual per solve (see :func:`_refine`), so they return the
+    solution of the long-double operator up to its conditioning times the
     long-double unit roundoff; where ``np.longdouble`` is float64, not below
     float64 accuracy.  ``iterations`` counts every CG iteration, or every
     triangular solve pair of the direct method; ``residual`` is the

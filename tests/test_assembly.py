@@ -401,6 +401,98 @@ def test_direct_solve_on_unequal_halves(family, n):
     assert np.max(np.abs(x - y)) <= 1e-10 * np.max(np.abs(y))
 
 
+REFINED_LEVELS = [(Family.ENRICHED_P, 4, level) for level in range(1, 6)] + [
+    (Family.BFS_Q, 8, level) for level in range(1, 5)]
+
+
+@pytest.mark.parametrize("family,k,level", REFINED_LEVELS)
+def test_direct_solve_applies_the_long_double_block_once(monkeypatch, family, k, level):
+    system = _system(family, k, level, exact_solution().f)[3]
+    calls, apply = [], assembly._apply
+    monkeypatch.setattr(assembly, "_apply", lambda *a: calls.append(a) or apply(*a))
+    solve(system)
+    assert len(calls) == (system.n_free > 0)
+
+
+@pytest.mark.parametrize("family,k,level", REFINED_LEVELS)
+def test_refined_residual_matches_long_double_residual(family, k, level):
+    system = _system(family, k, level, exact_solution().f)[3]
+    result = solve(system)
+    b = system.rhs.astype(system.element_matrix.dtype)
+    r = b - assembly._apply(system.element_slots, system.element_matrix,
+                            result.coeffs[system.free_dofs])
+    rel = float(np.linalg.norm(r)) / float(np.linalg.norm(b)) if b.any() else 0.0
+    assert result.residual == pytest.approx(rel, rel=1e-3)
+
+
+def _refine_at_every_step(system, correction):
+    """The refinement before the pair x0 + e: it forms the long-double
+    residual b - A x again after every step."""
+    slots, block = system.element_slots, system.element_matrix
+    b = system.rhs.astype(block.dtype)
+    x, r, last = np.zeros(system.n_free), b, np.inf
+    while True:
+        d, _ = correction(r.astype(float))
+        step = float(np.max(np.abs(d)))
+        if not step <= 0.5 * last:
+            return x
+        x += d
+        r = b - assembly._apply(slots, block, x)
+        last = step
+        if step <= np.finfo(float).eps * np.max(np.abs(x)):
+            return x
+
+
+@pytest.mark.parametrize("family,k,level", [(Family.ENRICHED_P, 4, 5), (Family.BFS_Q, 8, 4)])
+def test_refined_pair_matches_refinement_at_every_step(family, k, level):
+    system = _system(family, k, level, exact_solution().f)[3]
+    correction, _, _ = assembly._direct_solver(system, assembly.FrontStore())
+    ref = _refine_at_every_step(system, correction)
+    x = solve(system).coeffs[system.free_dofs]
+    assert np.max(np.abs(x - ref)) <= 64 * np.finfo(float).eps * np.max(np.abs(ref))
+
+
+def test_refine_returns_zero_after_non_finite_first_correction():
+    system = _system(Family.ENRICHED_P, 4, 3, exact_solution().f)[3]
+    x, count, rel = assembly._refine(system, lambda r: (np.full_like(r, np.nan), 7))
+    assert np.array_equal(x, np.zeros(system.n_free))
+    assert (count, rel) == (7, 1.0)
+
+
+def test_refine_re_anchors_while_the_correction_is_large(monkeypatch):
+    # a correction that solves only 0.6 of each residual: e grows past
+    # 2^-11 max |x0| on every early step, so r0 is formed again each time
+    system = _system(Family.ENRICHED_P, 4, 3, exact_solution().f)[3]
+    correction, _, _ = assembly._direct_solver(system, assembly.FrontStore())
+    calls, apply = [], assembly._apply
+    monkeypatch.setattr(assembly, "_apply", lambda *a: calls.append(a) or apply(*a))
+    x, count, rel = assembly._refine(system, lambda r: (0.6 * correction(r)[0], 1))
+    assert 5 < len(calls) < count
+    ref = solve(system).coeffs[system.free_dofs]
+    assert np.max(np.abs(x - ref)) <= 64 * np.finfo(float).eps * np.max(np.abs(ref))
+    assert rel < 1e-13
+
+
+@pytest.mark.parametrize("n,fronts", [(5, 29), (6, 38), (12, 57)])
+def test_recurring_class_is_factored_once(monkeypatch, n, fronts):
+    # n not a power of two: some classes recur at two depths
+    eb = element_basis(Family.ENRICHED_P, 4)
+    mesh = RectMesh(n)
+    system = assembly.assemble(mesh, clamped_flags(build_dof_map(mesh, eb)), eb,
+                               exact_solution().f)
+    calls, front = [], assembly._front
+    monkeypatch.setattr(assembly, "_front", lambda *a: calls.append(a) or front(*a))
+    result = solve(system)
+    depths = assembly._dissection(n)
+    assert result.fronts == len(calls) == fronts == len(assembly._class_tree(depths))
+    assert sum(len(keys) for _, keys, *_ in depths) > fronts
+    # the coefficients of a dense LU refined on the same residual
+    a = system.matrix.toarray()
+    y = _refine_at_every_step(system, lambda r: (np.linalg.solve(a, r), 1))
+    x = result.coeffs[system.free_dofs]
+    assert np.max(np.abs(x - y)) <= 64 * np.finfo(float).eps * np.max(np.abs(y))
+
+
 def test_evaluate_solution_caches_nothing(rng):
     eb = element_basis(Family.ENRICHED_P, 5)
     mesh = build_mesh(3)
