@@ -10,7 +10,10 @@ benchmark's workloads (``perfbench/run.py``): A runs first on even
 repetitions and B on odd ones.  One repetition of a side times
 ``run_study`` over all cases of the workload, with ``--solver`` (``direct``
 by default, as the benchmark runs), after one untimed repetition that
-builds the element bases.  The script prints each side's median and
+builds the element bases.  Every repetition starts with an empty
+``assembly.reference_table`` cache and so pays for the tables: each CLI
+process builds them once per basis, and warm repetitions would hide their
+cost.  The script prints each side's median and
 quartiles and the median of the per-repetition ratio B / A with its
 quartiles.  After the timed repetitions each side runs the workload once
 more, untimed, under ``tracemalloc``, and the script prints that run's
@@ -53,6 +56,7 @@ def load(name: str, checkout: str):
 
 
 def run(c1rect, cases, solver: str) -> float:
+    c1rect.assembly.reference_table.cache_clear()
     start = time.perf_counter()
     for family, k, levels in cases:
         c1rect.run_study(c1rect.StudyConfig(family=c1rect.Family(family), k=k,

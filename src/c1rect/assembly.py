@@ -133,14 +133,14 @@ def reference_table(basis: ElementBasis) -> ReferenceTable:
     """Built once per basis (the bases themselves are cached singletons).
 
     k+1 Gauss points per direction integrate the bidegree <= 2k stiffness
-    exactly; k+6 are enough for the trigonometric data.  The stiffness is
-    formed in long double from the float64 nodal stack, points and weights.
+    exactly; k+6 are enough for the trigonometric data.  Both are tabulated per
+    axis; the stiffness in long double from the float64 stack, nodes and weights.
     """
     qs, ql = gauss_rule(basis.k + 1), gauss_rule(basis.k + 6)
-    points, weights = qs.points.astype(np.longdouble), qs.weights.astype(np.longdouble)
-    lap = basis.tabulate(points, (2, 0)) + basis.tabulate(points, (0, 2))
+    nodes, weights = qs.nodes.astype(np.longdouble), qs.weights.astype(np.longdouble)
+    lap = basis.tabulate_grid(nodes, (2, 0)) + basis.tabulate_grid(nodes, (0, 2))
     table = ReferenceTable(stiff=(lap * weights[:, None]).T @ lap, quad=ql, tab={
-        d: basis.tabulate(ql.points, d) for d in ((0, 0), (2, 0), (1, 1), (0, 2))})
+        d: basis.tabulate_grid(ql.nodes, d) for d in ((0, 0), (2, 0), (1, 1), (0, 2))})
     for a in (table.stiff, *table.tab.values()):
         a.setflags(write=False)
     return table
@@ -362,10 +362,11 @@ def _front(slots: np.ndarray, block: FloatArray, touching: np.ndarray, origin: i
         F = np.zeros((len(order), len(order)))
         F.ravel()[(r0[:, None] * len(F) + r0).ravel()] = s0.ravel()
         F.ravel()[(r1[:, None] * len(F) + r1).ravel()] += s1.ravel()
-    inv_l = _inverse_factor(F[:m, :m])
+    # a front that eliminates nothing passes F on as its Schur complement
+    inv_l = _inverse_factor(F[:m, :m]) if m else np.zeros((0, 0))
     w = inv_l @ F[:m, m:]
     return (_Front(ref=ref[:, order], occ=occ[order], m=m, w=w, inv_l=inv_l),
-            F[m:, m:] - w.T @ w)
+            F[m:, m:] - w.T @ w if m else F)
 
 
 def _to_factor(tree: dict[int, tuple[int, ...]], fronts: Container[int],
@@ -612,11 +613,14 @@ def _refine(system: LinearSystem,
     float64 :func:`_element_sum`.  Once max |e| passes (u_block / u) max |x0|,
     as on the first step from x0 = 0, x0 + e is rounded into x0, e restarts
     at 0 and r0 is formed again; below that bound the float64 error of A e
-    stays under the block's.  It stops when d is below one ulp of max |x0 +
-    e|, or when d stops shrinking (more than half the previous step; that
-    step is not applied).  Returns x = fl(x0 + e), the summed count of
-    ``correction``, and the relative residual of x: r + A err, for the
-    rounding error err of x from TwoSum.
+    stays under the block's.  It stops once |d|, or from the second step on
+    the corrections still to come, |d| rho / (1 - rho) for the ratio rho of
+    |d| to the previous step (Demmel, Hida, Kahan, Li, Mukherjee & Riedy, ACM
+    TOMS 32, 2006), are below one ulp of max |x0 + e|, or when d stops
+    shrinking (more than half the previous step; that step is not applied).
+    Returns x = fl(x0 + e), the summed count of ``correction``, and the
+    relative residual of x: r + A err, for the rounding error err of x from
+    TwoSum.
     """
     slots, block = system.element_slots, system.element_matrix
     product = _element_sum([slots], [block.astype(float)], system.n_free)
@@ -636,9 +640,11 @@ def _refine(system: LinearSystem,
             r0 = r = b - _apply(slots, block, x0)
         else:
             r = r0 - product(e)
-        last = step
-        if step <= np.finfo(float).eps * np.max(np.abs(x0 + e)):
+        ulp = np.finfo(float).eps * np.max(np.abs(x0 + e))
+        # step rho / (1 - rho) = step^2 / (last - step), with no division
+        if step <= ulp or (last < np.inf and step * step <= ulp * (last - step)):
             break
+        last = step
     x = x0 + e
     t = x - x0
     r = r + product((x0 - (x - t)) + (e - t))

@@ -122,9 +122,10 @@ class DofMap:
 def build_dof_map(mesh: RectMesh, basis: ElementBasis) -> DofMap:
     """Number DOFs globally with vertex/edge sharing; no boundary flags yet.
 
-    Each local-DOF column of ``local_to_global`` is filled for all elements
-    at once from the closed-form entity ids.  Every element that touches a
-    global DOF computes its point ``(i + p) / n`` to the same bits.
+    Each entity's columns of ``local_to_global`` are filled for all elements
+    and slots at once from the closed-form entity ids, then each DOF's kind
+    and point through the whole table.  Every element that touches a global
+    DOF computes its point ``(i + p) / n`` to the same bits.
     """
     nv = len(basis.vertex_dofs(0))
     ne = basis.edge_dof_count
@@ -148,16 +149,15 @@ def build_dof_map(mesh: RectMesh, basis: ElementBasis) -> DofMap:
     blocks.append((i_base + ni * elems, basis.interior_dofs()))
 
     l2g = np.empty((mesh.n_elements, basis.dim), dtype=np.int64)
-    kind_code = np.empty(total, dtype=np.int8)
-    points = np.empty((total, 2))
     for first_dof, local in blocks:
-        for slot, n in enumerate(local):
-            dof = basis.dofs[n]
-            g = first_dof + slot
-            l2g[:, n] = g
-            kind_code[g] = VERTEX_KINDS.index(dof.kind)
-            points[g, 0] = (i + dof.point[0]) / mesh.n
-            points[g, 1] = (j + dof.point[1]) / mesh.n
+        l2g[:, local.start:local.stop] = first_dof[:, None] + np.arange(len(local))
+    kind_code = np.empty(total, dtype=np.int8)
+    kind_code[l2g] = [VERTEX_KINDS.index(dof.kind) for dof in basis.dofs]
+    ref = np.array([dof.point for dof in basis.dofs])
+    points = np.empty((total, 2))
+    for axis, index in enumerate((i, j)):  # one (element, slot) buffer at a time
+        xy = index[:, None] + ref[:, axis]
+        points[l2g, axis] = np.divide(xy, mesh.n, out=xy)
     return DofMap(
         total=total,
         local_to_global=l2g,

@@ -66,6 +66,26 @@ def test_gauss_rule_is_shared_and_read_only():
             a[0] = 0.0
 
 
+@pytest.mark.parametrize("family", list(Family))
+@pytest.mark.parametrize("k", range(4, 9))
+def test_reference_tables_match_long_double_tabulation(family, k):
+    # per-axis tabulation against the 3-operand einsum of ``tabulate`` in long
+    # double at the rule's points; measured at most 4.3e-13 of max |tab| (q-bfs
+    # k=8, (1, 1)), where the einsum in float64 gives 1.0e-12
+    eb = element_basis(family, k)
+    table = assembly.reference_table(eb)
+    for d, tab in table.tab.items():
+        ref = eb.tabulate(table.quad.points.astype(np.longdouble), d)
+        assert np.max(np.abs(tab - ref)) <= 5e-13 * np.max(np.abs(ref))
+    # the long-double Laplacian of the stiffness; measured at most 1.2e-16
+    qs = gauss_rule(k + 1)
+    for d in ((2, 0), (0, 2)):
+        grid = eb.tabulate_grid(qs.nodes.astype(np.longdouble), d)
+        ref = eb.tabulate(qs.points.astype(np.longdouble), d)
+        assert grid.dtype == np.longdouble
+        assert np.max(np.abs(grid - ref)) <= 1e-15 * np.max(np.abs(ref))
+
+
 @pytest.mark.parametrize("family,k", [(Family.ENRICHED_P, 5), (Family.BFS_Q, 6)])
 def test_tensor_grid_load_matches_per_element_points(family, k):
     # reference: each element's corner plus h times the rule's points; with
@@ -125,16 +145,17 @@ def test_stiffness_symmetry_and_definiteness():
 
 def _loop_assemble(mesh, dm, eb, f):
     """Per-element loop assembly: the reference for the array pipeline.  The
-    element block is formed in long double, the CSR from it rounded."""
+    element block is formed in long double, the CSR from it rounded; both
+    rules are tabulated per axis, as in ``reference_table``."""
     qs = gauss_rule(eb.k + 1)
     ql = gauss_rule(eb.k + 6)
     h = mesh.h
-    points, weights = qs.points.astype(np.longdouble), qs.weights.astype(np.longdouble)
-    lap = eb.tabulate(points, (2, 0)) + eb.tabulate(points, (0, 2))
+    nodes, weights = qs.nodes.astype(np.longdouble), qs.weights.astype(np.longdouble)
+    lap = eb.tabulate_grid(nodes, (2, 0)) + eb.tabulate_grid(nodes, (0, 2))
     ref_stiff = (lap * weights[:, None]).T @ lap
     scale = h ** eb.deriv_orders.astype(float)
     elem_stiff = ref_stiff * np.outer(scale, scale) / h**2
-    load_vals = eb.tabulate(ql.points, (0, 0))
+    load_vals = eb.tabulate_grid(ql.nodes, (0, 0))
     free_index = -np.ones(dm.total, dtype=np.int64)
     free_dofs = np.flatnonzero(~dm.is_boundary)
     free_index[free_dofs] = np.arange(len(free_dofs))
@@ -450,6 +471,34 @@ def test_refined_pair_matches_refinement_at_every_step(family, k, level):
     ref = _refine_at_every_step(system, correction)
     x = solve(system).coeffs[system.free_dofs]
     assert np.max(np.abs(x - ref)) <= 64 * np.finfo(float).eps * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("family,k,level,pairs,ulps", [
+    (Family.ENRICHED_P, 4, 4, 2, 64), (Family.BFS_Q, 8, 3, 2, 64),
+    # the reference stalls here: its steps after the second are 6.2e-11 of
+    # max |x|, the long-double residual's own noise, so 64 ulps cannot be
+    # resolved; the pair's third step is 6.1e-14 and its next ones 78 and 80
+    # ulps, the noise of the float64 product A e; 450000 ulps is 1e-10
+    (Family.ENRICHED_P, 8, 4, 3, 450_000)])
+def test_refinement_stops_on_predicted_correction(family, k, level, pairs, ulps):
+    # the second step is 1e-10 to 2.5e-7 of the first, so the steps still to
+    # come are predicted below an ulp; each case took 3 to 5 pairs on step size
+    system = _system(family, k, level, exact_solution().f)[3]
+    result = solve(system)
+    assert result.iterations == pairs
+    correction, _, _ = assembly._direct_solver(system, assembly.FrontStore())
+    ref = _refine_at_every_step(system, correction)
+    x = result.coeffs[system.free_dofs]
+    assert np.max(np.abs(x - ref)) <= ulps * np.finfo(float).eps * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("method", assembly.SOLVER_METHODS)
+def test_zero_right_hand_side_ends_refinement_after_one_step(method):
+    # a zero step ends the loop before any ratio of steps is formed
+    system = _system(Family.ENRICHED_P, 4, 3, lambda x, y: 0.0 * x)[3]
+    result = solve(system, method=method)
+    assert np.all(result.coeffs == 0.0)
+    assert (result.iterations, result.residual) == ((method == "direct") * 1, 0.0)
 
 
 def test_refine_returns_zero_after_non_finite_first_correction():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from c1rect.elements import Family, element_basis
+from c1rect.elements import VERTEX_KINDS, Family, element_basis
 from c1rect.mesh import MAX_LEVEL, RectMesh, build_dof_map, build_mesh, clamped_flags
 from c1rect.study import expected_dim
 
@@ -152,3 +152,51 @@ def test_interpolation_points_recorded():
     # every recorded point lies in the unit square and every DOF kind occurs
     assert np.all(dm.points >= -1e-12) and np.all(dm.points <= 1 + 1e-12)
     assert set(np.unique(dm.kind_code)) == {0, 1, 2, 3}
+
+
+def _loop_dof_map(mesh, basis):
+    """The numbering of ``build_dof_map`` with one pass per local DOF: the
+    reference for its per-entity broadcast."""
+    nv, ne, ni = len(basis.vertex_dofs(0)), basis.edge_dof_count, basis.interior_dof_count
+    h_base = nv * mesh.n_vertices
+    v_base = h_base + ne * mesh.n_h_edges
+    i_base = v_base + ne * mesh.n_v_edges
+    total = i_base + ni * mesh.n_elements
+    elems = np.arange(mesh.n_elements)
+    i, j = mesh.element_index(elems)
+    verts = (mesh.vertex_id(i, j), mesh.vertex_id(i + 1, j),
+             mesh.vertex_id(i + 1, j + 1), mesh.vertex_id(i, j + 1))
+    edges = (h_base + ne * mesh.h_edge_id(i, j), v_base + ne * mesh.v_edge_id(i + 1, j),
+             h_base + ne * mesh.h_edge_id(i, j + 1), v_base + ne * mesh.v_edge_id(i, j))
+    blocks = [(nv * ids, basis.vertex_dofs(v)) for v, ids in enumerate(verts)]
+    blocks += [(first, basis.edge_dofs(e)) for e, first in enumerate(edges)]
+    blocks.append((i_base + ni * elems, basis.interior_dofs()))
+    l2g = np.empty((mesh.n_elements, basis.dim), dtype=np.int64)
+    kind_code = np.empty(total, dtype=np.int8)
+    points = np.empty((total, 2))
+    for first_dof, local in blocks:
+        for slot, n in enumerate(local):
+            dof = basis.dofs[n]
+            g = first_dof + slot
+            l2g[:, n] = g
+            kind_code[g] = VERTEX_KINDS.index(dof.kind)
+            points[g, 0] = (i + dof.point[0]) / mesh.n
+            points[g, 1] = (j + dof.point[1]) / mesh.n
+    return total, l2g, kind_code, points
+
+
+@pytest.mark.parametrize("family", list(Family))
+@pytest.mark.parametrize("k", range(4, 9))
+def test_dof_map_matches_per_slot_loop(family, k):
+    basis = element_basis(family, k)
+    for level in (1, 2, 3):
+        mesh = build_mesh(level)
+        total, l2g, kind_code, points = _loop_dof_map(mesh, basis)
+        dm = build_dof_map(mesh, basis)
+        assert dm.total == total
+        for got, ref in ((dm.local_to_global, l2g), (dm.kind_code, kind_code),
+                         (dm.points, points)):
+            assert got.dtype == ref.dtype and np.array_equal(got, ref)
+        assert np.array_equal(dm.is_boundary, np.zeros(total, dtype=bool))
+        flags = clamped_flags(dm).is_boundary
+        assert np.array_equal(flags, ((points == 0.0) | (points == 1.0)).any(axis=1))
