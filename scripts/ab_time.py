@@ -6,8 +6,9 @@
 Imports ``src/c1rect`` of each checkout under its own package name
 (``c1rect_a``, ``c1rect_b``), so both sides share one interpreter, one BLAS
 and the same machine state, and alternates them on the study cases of the
-benchmark's workloads (``perfbench/run.py``): A runs first on even
-repetitions and B on odd ones.  One repetition of a side times
+benchmark's workloads (``perfbench/run.py``), and on ``deep-l8``, p-enriched
+k=4 to level 8, a depth that the benchmark does not reach: A runs first on
+even repetitions and B on odd ones.  One repetition of a side times
 ``run_study`` over all cases of the workload, with ``--solver`` (``direct``
 by default, as the benchmark runs), after one untimed repetition that
 builds the element bases.  Every repetition starts with an empty
@@ -41,6 +42,7 @@ import numpy as np
 WORKLOADS = {
     "study-deep": [("p-enriched", 4, 6), ("p-enriched", 5, 6)],
     "study-high-degree": [(f, k, 4) for f in ("p-enriched", "q-bfs") for k in (6, 7, 8)],
+    "deep-l8": [("p-enriched", 4, 8)],
 }
 
 

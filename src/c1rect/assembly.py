@@ -338,8 +338,11 @@ def _front(slots: np.ndarray, block: FloatArray, touching: np.ndarray, origin: i
 
     A single element (``halves`` None) has ``block`` on its free slots as
     its front; a larger box sums the Schur complements of its halves, given
-    with their first elements' (dx, dy) offsets.  A DOF is eliminated in the
-    smallest box that holds all ``touching[slot]`` elements touching it.
+    with their first elements' (dx, dy) offsets, scattered by broadcast
+    row and column indices.  A DOF is eliminated in the smallest box that
+    holds all ``touching[slot]`` elements touching it.  The Schur complement
+    is formed in the buffer of the product W^T W; a front with m = 0 passes
+    F on as it is.
     """
     if halves is None:
         local = np.flatnonzero(slots[origin] >= 0)
@@ -356,17 +359,19 @@ def _front(slots: np.ndarray, block: FloatArray, touching: np.ndarray, origin: i
     m = int(np.count_nonzero(inner))
     if halves is None:
         F = block[np.ix_(local[order], local[order])]
-    else:  # each half's interface DOFs as rows of F, summed by flat index
+    else:  # each half's interface DOFs as rows and columns of F, summed
         (_, s0, _), (_, s1, _) = halves
         r0, r1 = np.split(np.argsort(order)[at], [len(s0)])
         F = np.zeros((len(order), len(order)))
-        F.ravel()[(r0[:, None] * len(F) + r0).ravel()] = s0.ravel()
-        F.ravel()[(r1[:, None] * len(F) + r1).ravel()] += s1.ravel()
-    # a front that eliminates nothing passes F on as its Schur complement
+        F[r0[:, None], r0] = s0
+        F[r1[:, None], r1] += s1
     inv_l = _inverse_factor(F[:m, :m]) if m else np.zeros((0, 0))
     w = inv_l @ F[:m, m:]
-    return (_Front(ref=ref[:, order], occ=occ[order], m=m, w=w, inv_l=inv_l),
-            F[m:, m:] - w.T @ w if m else F)
+    front = _Front(ref=ref[:, order], occ=occ[order], m=m, w=w, inv_l=inv_l)
+    if not m:  # a front that eliminates nothing passes F on as its Schur complement
+        return front, F
+    schur = w.T @ w
+    return front, np.subtract(F[m:, m:], schur, out=schur)
 
 
 def _to_factor(tree: dict[int, tuple[int, ...]], fronts: Container[int],
@@ -396,9 +401,11 @@ def _multifrontal_cholesky(system: LinearSystem, store: FrontStore,
     grid.  Each Schur complement leaves the store right after the last front
     of this grid that reads it, unless the next grid's new classes read it;
     after the factor the store keeps the fronts of the next grid's classes.
-    Returns, per depth from the root, each class's front and its boxes'
-    (boxes, m + q) front slots; the fill 2 nnz(L), the count of L plus U of
-    an LU in this order; and the number of classes factored.
+    Returns, per depth from the root, the front of each class that
+    eliminates DOFs (m > 0) and its boxes' (boxes, m + q) front slots,
+    gathered after the depth loop, once this grid's Schur complements are
+    freed; the fill 2 nnz(L), the count of L plus U of an LU in this order;
+    and the number of classes factored.
     """
     slots, block = system.element_slots, system.element_matrix
     if system.dof_scale is not None:
@@ -424,7 +431,7 @@ def _multifrontal_cholesky(system: LinearSystem, store: FrontStore,
     reads, made = Counter(half for key in todo for half in tree[key]), len(todo)
     store.schur = {k: s for k, s in store.schur.items() if k in reads or k in keep}
     touching = np.bincount(slots[slots >= 0], minlength=system.n_free)
-    factor, fill = [], 0
+    factor = []
     below = None  # the next depth's boxes; its boxes are the halves
     for box, keys, first, kind, half_cols in reversed(depths):
         origin = box[1] * n + box[0]
@@ -443,20 +450,25 @@ def _multifrontal_cholesky(system: LinearSystem, store: FrontStore,
                         del store.schur[k]
                 if reads[key] or key in keep:
                     store.schur[key] = schur
-            f = store.fronts[key]
-            s = slots[origin[kind == c][:, None] + f.ref[1] * n + f.ref[0], f.ref[2]]
-            level.append((f, s))
-            fill += len(s) * f.m * (f.m + 1 + 2 * (s.shape[1] - f.m))
+            if store.fronts[key].m:
+                level.append((store.fronts[key], origin[kind == c]))
         factor.append(level)
         below = box
     store.fronts = {k: f for k, f in store.fronts.items() if k in after}
-    return factor[::-1], fill, made
+    # the slot tables, gathered once this grid's Schur complements are freed
+    factor = [[(f, slots[o[:, None] + f.ref[1] * n + f.ref[0], f.ref[2]]) for f, o in level]
+              for level in factor[::-1]]
+    fill = sum(len(s) * f.m * (f.m + 1 + 2 * (s.shape[1] - f.m))
+               for level in factor for f, s in level)
+    return factor, fill, made
 
 
 def _direct_solver(system: LinearSystem, store: FrontStore,
                    ) -> tuple[Callable[[FloatArray], tuple[FloatArray, int]], int, int]:
     """:func:`_multifrontal_cholesky`'s factor and its triangular solves;
-    returns the solver, the fill and the number of classes factored.
+    returns the solver, the fill and the number of classes factored.  The
+    factor holds no front that eliminates nothing: such a front leaves its
+    slots as they are.
 
     With S = diag(s) over the free slots from ``system.dof_scale``, A = S
     A_1 S, so A^-1 r = S^-1 A_1^-1 S^-1 r; s holds powers of two, so
@@ -467,8 +479,6 @@ def _direct_solver(system: LinearSystem, store: FrontStore,
     Python loops run over depths and classes only.
     """
     factor, fill, fronts = _multifrontal_cholesky(system, store)
-    # a front that eliminates nothing leaves its slots as they are
-    factor = [[(f, s) for f, s in level if f.m] for level in factor]
     slots = system.element_slots
     scale = np.ones(system.n_free)
     if system.dof_scale is not None:

@@ -96,23 +96,21 @@ def error_norms(
     """(L2, H2-seminorm) errors of the FE function against the exact solution,
     on the rule of :func:`assembly.reference_table`.  The H2 seminorm weights
     the mixed second derivative twice: |e|_2^2 = int e_xx^2 + 2 e_xy^2 + e_yy^2.
+    Each squared error grid is formed in place in the grid of FE values.
     """
     q = assembly.reference_table(basis).quad
     h = mesh.h
 
-    def error(exact_fn, deriv):
-        return assembly.on_quadrature_grid(exact_fn, mesh, q) - \
-            assembly.evaluate_on_elements(mesh, dof_map, basis, coeffs, None, deriv)
+    def squared_error(exact_fn, deriv):
+        e = assembly.evaluate_on_elements(mesh, dof_map, basis, coeffs, None, deriv)
+        np.subtract(assembly.on_quadrature_grid(exact_fn, mesh, q), e, out=e)
+        return np.square(e, out=e)
 
-    e = error(exact.u, (0, 0))
-    l2 = h**2 * float(np.sum((e * e) @ q.weights))
+    l2 = h**2 * float(np.sum(squared_error(exact.u, (0, 0)) @ q.weights))
     # one error grid at a time, summed as (e_xx^2 + 2 e_xy^2) + e_yy^2
-    e = error(exact.uxx, (2, 0))
-    integrand = e * e
-    e = error(exact.uxy, (1, 1))
-    integrand += 2.0 * e * e
-    e = error(exact.uyy, (0, 2))
-    integrand += e * e
+    integrand = squared_error(exact.uxx, (2, 0))
+    integrand += 2.0 * squared_error(exact.uxy, (1, 1))
+    integrand += squared_error(exact.uyy, (0, 2))
     h2 = h**2 * float(np.sum(integrand @ q.weights))
     return math.sqrt(l2), math.sqrt(h2)
 
@@ -330,13 +328,10 @@ def _space_reproduction(basis: ElementBasis, rng: np.random.Generator) -> float:
     span = _pk_monomials if basis.family is Family.ENRICHED_P else _qk_monomials
     monos = span(basis.k)
     coeffs = rng.uniform(-1.0, 1.0, size=len(monos))
-    p = monos[0] * coeffs[0]
-    for a, m in zip(coeffs[1:], monos[1:]):
-        p = p + a * m
+    # cumsum adds the terms in loop order, where np.sum would pair them
+    p = np.cumsum(coeffs[:, None, None] * monos, axis=0)[-1]
     dof_values = functional_matrix(basis.dofs, p[None])[:, 0]
-    interp = basis.nodal[0] * dof_values[0]
-    for a, phi in zip(dof_values[1:], basis.nodal[1:]):
-        interp = interp + a * phi
+    interp = np.cumsum(dof_values[:, None, None] * basis.nodal, axis=0)[-1]
     scale = max(float(np.max(np.abs(p))), 1.0)
     return float(np.max(np.abs(interp - p))) / scale
 

@@ -285,7 +285,9 @@ def _eliminated(system):
     """Free slots in the order the direct factor eliminates them, deepest
     boxes first."""
     factor, *_ = assembly._multifrontal_cholesky(system, assembly.FrontStore())
-    return np.concatenate([s[:, :f.m].ravel() for level in factor[::-1] for f, s in level])
+    # a grid without free slots has no front that eliminates any
+    return np.concatenate([np.zeros(0, int)] + [s[:, :f.m].ravel() for level in factor[::-1]
+                                                for f, s in level])
 
 
 @pytest.mark.parametrize("family", list(Family))
@@ -366,10 +368,76 @@ def test_direct_factors_one_front_per_class(monkeypatch, family, k):
     # level 5: 511 boxes on 9 depths, at most 9 classes on a depth
     _, _, _, system = _system(family, k, 5, exact_solution().f)
     calls = _count_cholesky(monkeypatch)
+    made, front = [], assembly._front
+    monkeypatch.setattr(assembly, "_front", lambda *a: made.append(front(*a)) or made[-1])
     factor, *_ = assembly._multifrontal_cholesky(system, assembly.FrontStore())
-    assert sum(len(s) for level in factor for _, s in level) == 511
-    assert len(factor) == 9 and max(len(level) for level in factor) == 9
+    # one front per class, made deepest depth first, with its number of boxes
+    depths, fronts = assembly._dissection(16), iter(f for f, _ in made)
+    classes = [[(next(fronts), np.count_nonzero(kind == c)) for c in range(len(keys))]
+               for _, keys, _, kind, _ in reversed(depths)][::-1]
+    assert next(fronts, None) is None
+    assert sum(b for level in classes for _, b in level) == 511
+    assert len(classes) == 9 and max(len(level) for level in classes) == 9
+    # the factor lists, per depth, the classes that eliminate DOFs, each
+    # with all of its boxes
+    assert [[(id(f), len(s)) for f, s in level] for level in factor] == \
+        [[(id(f), b) for f, b in level if f.m] for level in classes]
     assert len(calls) <= 9 * len(factor)
+
+
+def _flat_index_front(slots, block, touching, origin, n, halves):
+    """The reference for :func:`assembly._front`: its extend-add goes
+    through flat (q, q) index tables and its Schur complement through a
+    second buffer."""
+    if halves is None:
+        local = np.flatnonzero(slots[origin] >= 0)
+        ref, occ = np.stack([np.zeros_like(local), np.zeros_like(local), local]), np.ones(len(local))
+        dof = slots[origin, local]
+    else:
+        ref = np.hstack([f.ref[:, f.m:] + [[dx], [dy], [0]] for f, _, (dx, dy) in halves])
+        dof, first, at = np.unique(slots[origin + ref[1] * n + ref[0], ref[2]],
+                                   return_index=True, return_inverse=True)
+        occ = np.bincount(at, weights=np.concatenate([f.occ[f.m:] for f, _, _ in halves]))
+        ref = ref[:, first]
+    inner = occ == touching[dof]
+    order = np.argsort(~inner, kind="stable")
+    m = int(np.count_nonzero(inner))
+    if halves is None:
+        F = block[np.ix_(local[order], local[order])]
+    else:
+        (_, s0, _), (_, s1, _) = halves
+        r0, r1 = np.split(np.argsort(order)[at], [len(s0)])
+        F = np.zeros((len(order), len(order)))
+        F.ravel()[(r0[:, None] * len(F) + r0).ravel()] = s0.ravel()
+        F.ravel()[(r1[:, None] * len(F) + r1).ravel()] += s1.ravel()
+    inv_l = assembly._inverse_factor(F[:m, :m]) if m else np.zeros((0, 0))
+    w = inv_l @ F[:m, m:]
+    return (assembly._Front(ref=ref[:, order], occ=occ[order], m=m, w=w, inv_l=inv_l),
+            F[m:, m:] - w.T @ w if m else F)
+
+
+@pytest.mark.parametrize("family,k,level", [(Family.ENRICHED_P, 4, 5), (Family.BFS_Q, 8, 4)])
+def test_front_matches_flat_index_extend_add(monkeypatch, family, k, level):
+    # the broadcast-index extend-add and the in-place Schur complement sum
+    # and subtract the same terms in the same order: every front of a
+    # factor, and the Schur complement it passes on, is bit-identical
+    system = _system(family, k, level, exact_solution().f)[3]
+    front, made = assembly._front, []
+
+    def both(*args):
+        got, schur = front(*args)
+        want, want_schur = _flat_index_front(*args)
+        assert got.m == want.m
+        for name in ("ref", "occ", "w", "inv_l"):
+            assert np.array_equal(getattr(got, name), getattr(want, name))
+        assert np.array_equal(schur, want_schur)
+        made.append(got.m)
+        return got, schur
+
+    monkeypatch.setattr(assembly, "_front", both)
+    assembly._multifrontal_cholesky(system, assembly.FrontStore())
+    assert len(made) == len(assembly._class_tree(assembly._dissection(2 ** (level - 1))))
+    assert 0 < max(made)
 
 
 @pytest.mark.parametrize("family,k,level,warm", [

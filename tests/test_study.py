@@ -1,6 +1,7 @@
 import copy
 import gc
 import math
+import tracemalloc
 import weakref
 from collections import Counter
 from dataclasses import replace
@@ -10,6 +11,7 @@ import pytest
 
 from c1rect import assembly
 from c1rect import elements
+from c1rect import study
 from c1rect.elements import ElementBasis, Family, element_basis
 from c1rect.mesh import MAX_LEVEL, RectMesh, build_dof_map, build_mesh, clamped_flags
 from c1rect.poly2d import _differentiate, monomials, polyval
@@ -408,6 +410,44 @@ def test_verify_passes_representative_cases():
         assert by_name["dimension_count"].value == dim
         failed = [c.name for c in checks if not c.passed]
         assert not failed, f"{family} k={k}: failing checks {failed}"
+
+
+@pytest.mark.parametrize("family", list(Family))
+@pytest.mark.parametrize("k", [4, 5, 6, 7, 8])
+def test_space_reproduction_sums_in_term_order(monkeypatch, family, k):
+    # the running sums of the random member and of its interpolant add the
+    # terms in the order of a loop over them, so both are bit-identical
+    basis = element_basis(family, k)
+    span = elements._pk_monomials if family is Family.ENRICHED_P else elements._qk_monomials
+    monos = span(k)
+    coeffs = np.random.default_rng(7).uniform(-1.0, 1.0, size=len(monos))
+    p = monos[0] * coeffs[0]
+    for a, m in zip(coeffs[1:], monos[1:]):
+        p = p + a * m
+    dof_values = study.functional_matrix(basis.dofs, p[None])[:, 0]
+    interp = basis.nodal[0] * dof_values[0]
+    for a, phi in zip(dof_values[1:], basis.nodal[1:]):
+        interp = interp + a * phi
+    seen, functional_matrix = [], study.functional_matrix
+    monkeypatch.setattr(study, "functional_matrix",
+                        lambda dofs, polys: seen.append(polys[0]) or functional_matrix(dofs, polys))
+    got = study._space_reproduction(basis, np.random.default_rng(7))
+    assert len(seen) == 1 and np.array_equal(seen[0], p)
+    assert got == float(np.max(np.abs(interp - p))) / max(float(np.max(np.abs(p))), 1.0)
+
+
+def test_study_traced_peak():
+    # p-enriched k=5 to level 6 traces about 7.7 MB, 7.9 MB when the run
+    # builds the element basis; flat extend-add index tables, a second
+    # buffer per Schur complement, slot tables gathered while the Schur
+    # complements are held and a new error grid per operation made 8.87 MB
+    tracemalloc.start()
+    try:
+        run_study(StudyConfig(family=Family.ENRICHED_P, k=5, max_level=6))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8.2e6
 
 
 def test_expected_dim_formula():
