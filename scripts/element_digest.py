@@ -1,6 +1,6 @@
 """Print digests of element data, DOF maps and level-3 systems (element
-block, element slots and load), and the study rows of the benchmark's cases,
-to check that a change leaves them bit-identical.
+block, element slots and load), the study rows of the benchmark's cases, and
+CG study rows of two cases, to check that a change leaves them bit-identical.
 
 Run each checkout's own copy on its own ``src`` and compare the outputs:
 
@@ -72,11 +72,14 @@ for family in Family:
                 print("  level 3 system", digest(hi, lo, system.element_slots, system.rhs))
         print("  verify", [(c.name, repr(c.value)) for c in verify(family, k, 3)])
 
-# p-enriched k=4, 5 to level 6 and both families k=6..8 to level 4
-STUDIES = [(Family.ENRICHED_P, k, 6) for k in (4, 5)]
-STUDIES += [(family, k, 4) for family in Family for k in (6, 7, 8)]
-for family, k, levels in STUDIES:
-    report = run_study(StudyConfig(family=family, k=k, max_level=levels))
+# p-enriched k=4, 5 to level 6 and both families k=6..8 to level 4, and
+# CG rows for p-enriched k=4 to level 5 and q-bfs k=8 to level 3
+STUDIES = [(Family.ENRICHED_P, k, 6, "direct") for k in (4, 5)]
+STUDIES += [(family, k, 4, "direct") for family in Family for k in (6, 7, 8)]
+STUDIES += [(Family.ENRICHED_P, 4, 5, "cg"), (Family.BFS_Q, 8, 3, "cg")]
+for family, k, levels, solver in STUDIES:
+    report = run_study(StudyConfig(family=family, k=k, max_level=levels, solver=solver))
+    label = "study" if solver == "direct" else f"study {solver}"
     for row, meta in zip(report.rows, report.meta["levels"]):
-        print(f"study {family.value} k={k} level {row.level}", repr(row.l2_err),
+        print(f"{label} {family.value} k={k} level {row.level}", repr(row.l2_err),
               repr(row.h2_err), repr(meta["residual"]), meta["fill"], meta["iterations"])

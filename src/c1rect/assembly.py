@@ -22,7 +22,6 @@ of :class:`LinearSystem` assembles it, as a reference.
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Container
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Callable
@@ -287,18 +286,24 @@ class FrontStore:
 
     A class key holds no grid size, and the fronts factor A_1, the element
     block without its level scaling (``LinearSystem.dof_scale``), so a front
-    does not depend on the level.  A factor drops each Schur complement
-    right after the last front of its grid that reads it, unless the next
-    grid's new classes read it, and after the factor the store drops the
-    fronts that the next grid does not use; after ``finest`` it keeps
-    nothing.  A system with another A_1 empties it.
+    does not depend on the level.  The first grid makes a plan: the
+    dissections of the grids from it to ``finest``, and for each class the
+    readers of its Schur complement among the classes of all of them, each
+    class counted once.  A factor drops a Schur complement once its last
+    reader is factored, and after a grid the store drops the fronts of the
+    classes that no grid left in the plan has; after ``finest`` it keeps
+    nothing.  Another A_1, or any grid but the plan's next, starts a new
+    plan.
     """
 
     finest: int = 0
-    block: FloatArray | None = None  # the float64 A_1 that the fronts factor
-    fronts: dict[int, _Front] = field(default_factory=dict)
-    schur: dict[int, FloatArray] = field(default_factory=dict)  # on the interface
-    dissection: dict[int, list] = field(default_factory=dict)  # of the next grid, by n
+    block: FloatArray | None = field(default=None, init=False)  # the float64 A_1
+    #: (n, dissection, class tree) of each grid still to solve, next first
+    plan: list[tuple[int, list, dict]] = field(default_factory=list, init=False)
+    #: readers of each class's Schur complement not yet factored
+    reads: Counter = field(default_factory=Counter, init=False)
+    fronts: dict[int, _Front] = field(default_factory=dict, init=False)
+    schur: dict[int, FloatArray] = field(default_factory=dict, init=False)  # on the interface
 
 
 def _inverse_cholesky(a: FloatArray) -> FloatArray:
@@ -374,21 +379,6 @@ def _front(slots: np.ndarray, block: FloatArray, touching: np.ndarray, origin: i
     return front, np.subtract(F[m:, m:], schur, out=schur)
 
 
-def _to_factor(tree: dict[int, tuple[int, ...]], fronts: Container[int],
-               schur: Container[int]) -> set[int]:
-    """The classes of ``tree`` to factor with the classes whose ``fronts``
-    and ``schur`` complements are held: those without a front, and the
-    halves of these whose Schur complement is not held."""
-    todo = {key for key in tree if key not in fronts}
-    stack = list(todo)
-    while stack:
-        for half in tree[stack.pop()]:
-            if half not in schur and half not in todo:
-                todo.add(half)
-                stack.append(half)
-    return todo
-
-
 def _multifrontal_cholesky(system: LinearSystem, store: FrontStore,
                            ) -> tuple[list[list[tuple[_Front, np.ndarray]]], int, int]:
     """Multifrontal Cholesky (Duff & Reid, ACM TOMS 9, 1983) of A_1 in the
@@ -397,65 +387,59 @@ def _multifrontal_cholesky(system: LinearSystem, store: FrontStore,
     On the uniform grid every element carries A_1, ``system.element_matrix``
     without its ``dof_scale``, rounded to float64 once here, and the boxes of
     one class see the same slot pattern, so each class's front is factored
-    once, bottom-up, and only if ``store`` does not hold it from a coarser
-    grid.  Each Schur complement leaves the store right after the last front
-    of this grid that reads it, unless the next grid's new classes read it;
-    after the factor the store keeps the fronts of the next grid's classes.
-    Returns, per depth from the root, the front of each class that
-    eliminates DOFs (m > 0) and its boxes' (boxes, m + q) front slots,
-    gathered after the depth loop, once this grid's Schur complements are
-    freed; the fill 2 nnz(L), the count of L plus U of an LU in this order;
-    and the number of classes factored.
+    once, bottom-up, and only if ``store`` holds no front for it.  The store's
+    plan (:class:`FrontStore`) frees each Schur complement once its last
+    reader is factored, on this grid or a later one, and keeps each front
+    until the last grid that has its class.  Returns, per depth from the
+    root, the front of each class that eliminates DOFs (m > 0) and its
+    boxes' (boxes, m + q) front slots, gathered after the depth loop, once
+    the Schur complements read for the last time are freed; the fill 2
+    nnz(L), the count of L plus U of an LU in this order; and the number of
+    classes factored.
     """
     slots, block = system.element_slots, system.element_matrix
     if system.dof_scale is not None:
         block = block / np.outer(system.dof_scale, system.dof_scale)
     block = block.astype(float)
-    if store.block is None or not np.array_equal(store.block, block):
-        store.block, store.fronts, store.schur, store.dissection = block, {}, {}, {}
     n = round(len(slots) ** 0.5)
-    depths = store.dissection.pop(n, None) or _dissection(n)
-    tree = _class_tree(depths)
-    todo = _to_factor(tree, store.fronts, store.schur)
-    # the next grid's classes and the Schur complements its new classes read
-    store.dissection, after, keep = {}, {}, set()
-    if 2 * n <= store.finest:
-        store.dissection = {2 * n: _dissection(2 * n)}
-        after = _class_tree(store.dissection[2 * n])
-        keep = {half for key in _to_factor(after, store.fronts.keys() | todo,
-                                           store.schur.keys() | todo)
-                for half in after[key]}
-    # reads left of each Schur complement, one per class that reads it: a class
-    # that recurs at two depths (n not a power of two) is factored at the deeper
-    # one only; a held one that neither this grid nor the next reads goes now
-    reads, made = Counter(half for key in todo for half in tree[key]), len(todo)
-    store.schur = {k: s for k, s in store.schur.items() if k in reads or k in keep}
+    if not (np.array_equal(store.block, block) and store.plan and store.plan[0][0] == n):
+        # a new plan: the grids n, 2n, ..., finest and the union of their trees
+        grids = [n]
+        while 2 * grids[-1] <= store.finest:
+            grids.append(2 * grids[-1])
+        store.plan = [(g, d, _class_tree(d)) for g, d in zip(grids, map(_dissection, grids))]
+        union = {key: halves for *_, tree in store.plan for key, halves in tree.items()}
+        store.reads = Counter(half for halves in union.values() for half in halves)
+        store.block, store.fronts, store.schur = block, {}, {}
+    _, depths, tree = store.plan.pop(0)
     touching = np.bincount(slots[slots >= 0], minlength=system.n_free)
-    factor = []
+    factor, made = [], 0
     below = None  # the next depth's boxes; its boxes are the halves
     for box, keys, first, kind, half_cols in reversed(depths):
         origin = box[1] * n + box[0]
         level = []
         for c, (key, b) in enumerate(zip(keys.tolist(), first)):
-            if key in todo:
+            if key not in store.fronts:
                 halves = None if half_cols[0, b] < 0 else [
                     (store.fronts[k], store.schur[k], below[:2, j] - box[:2, b])
                     for j, k in zip(half_cols[:, b], tree[key])]
                 store.fronts[key], schur = _front(slots, block, touching, origin[b], n, halves)
                 del halves  # so that the Schur complements can be freed below
-                todo.discard(key)
+                made += 1
                 for k in tree[key]:
-                    reads[k] -= 1
-                    if not reads[k] and k not in keep:
+                    store.reads[k] -= 1
+                    if not store.reads[k]:
                         del store.schur[k]
-                if reads[key] or key in keep:
+                if store.reads[key]:
                     store.schur[key] = schur
             if store.fronts[key].m:
                 level.append((store.fronts[key], origin[kind == c]))
         factor.append(level)
         below = box
-    store.fronts = {k: f for k, f in store.fronts.items() if k in after}
-    # the slot tables, gathered once this grid's Schur complements are freed
+    store.fronts = {k: f for k, f in store.fronts.items() if any(k in t for *_, t in store.plan)}
+    if not store.plan:  # and the Schur complements that a failed grid's readers left
+        store.schur = {}
+    # the slot tables, gathered once the Schur complements read last are freed
     factor = [[(f, slots[o[:, None] + f.ref[1] * n + f.ref[0], f.ref[2]]) for f, o in level]
               for level in factor[::-1]]
     fill = sum(len(s) * f.m * (f.m + 1 + 2 * (s.shape[1] - f.m))
@@ -565,16 +549,17 @@ def _element_block_preconditioner(system: LinearSystem, block: FloatArray,
     return _element_sum(groups, inv, n)
 
 
-def _pcg_solver(system: LinearSystem, rel_tol: float) -> Callable[[FloatArray], tuple[FloatArray, int]]:
+def _pcg_solver(system: LinearSystem, rel_tol: float, block: FloatArray,
+                product: Callable[[FloatArray], FloatArray],
+                ) -> Callable[[FloatArray], tuple[FloatArray, int]]:
     """Element-block preconditioned conjugate gradients from a zero guess,
-    with products by the float64 element block (:func:`_element_sum`).
+    with the ``product`` by the float64 element ``block``
+    (:func:`_element_sum`), which also gives the preconditioner.
 
     Each solve stops once the recursively updated residual is below
     ``rel_tol`` relative to its right-hand side, and raises
     :class:`NotConverged` after 50 * dim iterations.
     """
-    block = system.element_matrix.astype(float)
-    product = _element_sum([system.element_slots], [block], system.n_free)
     precond = _element_block_preconditioner(system, block)
     max_iter = 50 * system.n_free
 
@@ -613,17 +598,17 @@ def _pcg_solver(system: LinearSystem, rel_tol: float) -> Callable[[FloatArray], 
 
 def _refine(system: LinearSystem,
             correction: Callable[[FloatArray], tuple[FloatArray, int]],
-            ) -> tuple[FloatArray, int, float]:
+            product: Callable[[FloatArray], FloatArray]) -> tuple[FloatArray, int, float]:
     """Iterative refinement of a pair x0 + e (Carson & Higham, SIAM J. Sci.
     Comput. 40, 2018).
 
     Each step solves A d = r in float64 with ``correction`` and adds d to e,
     for r = r0 - A e: r0 = b - A x0 comes from :func:`_apply` in the dtype of
     ``element_matrix`` (long double from :func:`assemble`), A e from the
-    float64 :func:`_element_sum`.  Once max |e| passes (u_block / u) max |x0|,
-    as on the first step from x0 = 0, x0 + e is rounded into x0, e restarts
-    at 0 and r0 is formed again; below that bound the float64 error of A e
-    stays under the block's.  It stops once |d|, or from the second step on
+    float64 ``product`` (:func:`_element_sum`).  Once max |e| passes
+    (u_block / u) max |x0|, as on the first step from x0 = 0, x0 + e is
+    rounded into x0, e restarts at 0 and r0 is formed again; below that
+    bound the float64 error of A e stays under the block's.  It stops once |d|, or from the second step on
     the corrections still to come, |d| rho / (1 - rho) for the ratio rho of
     |d| to the previous step (Demmel, Hida, Kahan, Li, Mukherjee & Riedy, ACM
     TOMS 32, 2006), are below one ulp of max |x0 + e|, or when d stops
@@ -633,7 +618,6 @@ def _refine(system: LinearSystem,
     TwoSum.
     """
     slots, block = system.element_slots, system.element_matrix
-    product = _element_sum([slots], [block.astype(float)], system.n_free)
     anchor = np.finfo(block.dtype).eps / np.finfo(float).eps
     b = system.rhs.astype(block.dtype)
     x0 = e = np.zeros(system.n_free)
@@ -688,9 +672,12 @@ def solve(system: LinearSystem, rel_tol: float = 1e-13,
     if method == "direct":
         correction, fill, made = _direct_solver(
             system, FrontStore() if store is None else store)
-    else:
-        correction, fill, made = _pcg_solver(system, rel_tol), 0, 0
-    x, iterations, rel = _refine(system, correction)
+    # one float64 operator for CG and the refinement, formed after the factor
+    block = system.element_matrix.astype(float)
+    product = _element_sum([system.element_slots], [block], system.n_free)
+    if method == "cg":
+        correction, fill, made = _pcg_solver(system, rel_tol, block, product), 0, 0
+    x, iterations, rel = _refine(system, correction, product)
     return SolveResult(_expand(system, x), iterations, rel, method, fill, made)
 
 

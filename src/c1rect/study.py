@@ -119,6 +119,14 @@ def error_norms(
 # study driver
 
 
+def _check_degree_and_level(k: int, level: int) -> None:
+    """Shared by :class:`StudyConfig` and :func:`verify`: k in 4..8, both integers."""
+    if not (isinstance(k, (int, np.integer)) and 4 <= k <= 8):
+        raise ValueError("degree must be between 4 and 8")
+    if not isinstance(level, (int, np.integer)):
+        raise ValueError(f"refinement level must be in 1..{MAX_LEVEL}, got {level}")
+
+
 @dataclass
 class StudyConfig:
     family: Family
@@ -129,8 +137,7 @@ class StudyConfig:
 
     def __post_init__(self):
         self.family = Family(self.family)
-        if not 4 <= self.k <= 8:
-            raise ValueError("degree must be between 4 and 8")
+        _check_degree_and_level(self.k, self.max_level)
         if self.max_level < 1:
             raise ValueError("need at least one level")
         if self.max_level > MAX_LEVEL:
@@ -337,8 +344,10 @@ def _space_reproduction(basis: ElementBasis, rng: np.random.Generator) -> float:
 
 
 def verify(family: Family, k: int, level: int) -> list[Check]:
-    """Run the invariant suite; failures are data, not exceptions."""
+    """Run the invariant suite; failed checks are data, not exceptions, but a
+    k or level that :class:`StudyConfig` rejects raises ValueError."""
     family = Family(family)
+    _check_degree_and_level(k, level)
     basis = element_basis(family, k)
     checks: list[Check] = []
 

@@ -465,7 +465,7 @@ def test_warm_front_store_matches_fresh_solve(family, k, level, warm):
     (Family.BFS_Q, 4),
     # a coarser grid: after level 4 the store holds the fronts of level 3's
     # corner classes but not the Schur complements its new classes read, so
-    # it factors them again
+    # it starts a new plan
     (Family.ENRICHED_P, 3),
 ])
 def test_front_store_used_out_of_order_matches_fresh_solve(family, level):
@@ -475,6 +475,50 @@ def test_front_store_used_out_of_order_matches_fresh_solve(family, level):
     reused, fresh = solve(system, store=store), solve(system)
     assert np.array_equal(reused.coeffs, fresh.coeffs)
     assert reused.fronts == fresh.fronts
+
+
+def _same_solve(reused, fresh):
+    assert np.array_equal(reused.coeffs, fresh.coeffs)
+    assert (reused.iterations, reused.residual, reused.fill) == (
+        fresh.iterations, fresh.residual, fresh.fill)
+
+
+def test_front_store_after_a_failed_grid_matches_fresh_solve(monkeypatch):
+    # a nonpositive pivot partway through level 4's factor leaves some of its
+    # classes unfactored and their halves' Schur complements held; level 5
+    # factors the classes it has and matches a fresh solve
+    store = assembly.FrontStore(finest=16)
+    for level in (2, 3):
+        solve(_system(Family.ENRICHED_P, 4, level, exact_solution().f)[3], store=store)
+    front, calls = assembly._front, []
+
+    def failing(*args):
+        calls.append(args)
+        if len(calls) == 9:
+            raise NotSPD("injected")
+        return front(*args)
+
+    monkeypatch.setattr(assembly, "_front", failing)
+    with pytest.raises(NotSPD, match="injected"):
+        solve(_system(Family.ENRICHED_P, 4, 4, exact_solution().f)[3], store=store)
+    assert len(calls) == 9 < 21  # level 4 factors 21 classes
+    monkeypatch.setattr(assembly, "_front", front)
+    system = _system(Family.ENRICHED_P, 4, 5, exact_solution().f)[3]
+    reused = solve(system, store=store)
+    _same_solve(reused, solve(system))
+    assert reused.fronts > 21  # with the classes that level 4 left
+    assert store.fronts == store.schur == {}
+
+
+def test_front_store_skipping_a_level_starts_a_new_plan():
+    # grid 2, then grid 8: grid 4 is the plan's next, so grid 8 starts afresh
+    store = assembly.FrontStore(finest=8)
+    solve(_system(Family.ENRICHED_P, 4, 2, exact_solution().f)[3], store=store)
+    system = _system(Family.ENRICHED_P, 4, 4, exact_solution().f)[3]
+    reused, fresh = solve(system, store=store), solve(system)
+    _same_solve(reused, fresh)
+    assert reused.fronts == fresh.fronts
+    assert store.fronts == store.schur == {}
 
 
 @pytest.mark.parametrize("family", list(Family))
@@ -569,9 +613,16 @@ def test_zero_right_hand_side_ends_refinement_after_one_step(method):
     assert (result.iterations, result.residual) == ((method == "direct") * 1, 0.0)
 
 
+def _product(system):
+    """The float64 operator that ``solve`` hands to CG and the refinement."""
+    return assembly._element_sum([system.element_slots], [system.element_matrix.astype(float)],
+                                 system.n_free)
+
+
 def test_refine_returns_zero_after_non_finite_first_correction():
     system = _system(Family.ENRICHED_P, 4, 3, exact_solution().f)[3]
-    x, count, rel = assembly._refine(system, lambda r: (np.full_like(r, np.nan), 7))
+    x, count, rel = assembly._refine(system, lambda r: (np.full_like(r, np.nan), 7),
+                                     _product(system))
     assert np.array_equal(x, np.zeros(system.n_free))
     assert (count, rel) == (7, 1.0)
 
@@ -583,7 +634,8 @@ def test_refine_re_anchors_while_the_correction_is_large(monkeypatch):
     correction, _, _ = assembly._direct_solver(system, assembly.FrontStore())
     calls, apply = [], assembly._apply
     monkeypatch.setattr(assembly, "_apply", lambda *a: calls.append(a) or apply(*a))
-    x, count, rel = assembly._refine(system, lambda r: (0.6 * correction(r)[0], 1))
+    x, count, rel = assembly._refine(system, lambda r: (0.6 * correction(r)[0], 1),
+                                     _product(system))
     assert 5 < len(calls) < count
     ref = solve(system).coeffs[system.free_dofs]
     assert np.max(np.abs(x - ref)) <= 64 * np.finfo(float).eps * np.max(np.abs(ref))

@@ -331,6 +331,20 @@ def test_config_validation():
         StudyConfig(family=Family.ENRICHED_P, k=4, max_level=MAX_LEVEL + 1)
 
 
+@pytest.mark.parametrize("k,level,message", [
+    (9, 2, "degree must be between 4 and 8"),
+    (4.5, 2, "degree must be between 4 and 8"),
+    (4.0, 2, "degree must be between 4 and 8"),
+    (4, 2.5, "refinement level must be in 1..16, got 2.5"),
+])
+def test_study_and_verify_share_input_checks(k, level, message):
+    # a ValueError before any work, not a FAIL row or a TypeError
+    with pytest.raises(ValueError, match=message):
+        StudyConfig(family=Family.ENRICHED_P, k=k, max_level=level)
+    with pytest.raises(ValueError, match=message):
+        verify(Family.ENRICHED_P, k, level)
+
+
 @pytest.mark.parametrize("solver", ["lu", "Direct", "", "auto"])
 def test_config_rejects_unknown_solver(solver):
     with pytest.raises(ValueError, match="unknown solver"):
