@@ -127,9 +127,9 @@ class ReferenceTable:
     tab: dict[tuple[int, int], FloatArray]  # (deriv_x, deriv_y) -> (npts, dim) on quad
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)
 def reference_table(basis: ElementBasis) -> ReferenceTable:
-    """Built once per basis (the bases themselves are cached singletons).
+    """Cached for the most recent basis only; every level of a study shares it.
 
     k+1 Gauss points per direction integrate the bidegree <= 2k stiffness
     exactly; k+6 are enough for the trigonometric data.  Both are tabulated per
@@ -291,9 +291,9 @@ class FrontStore:
     readers of its Schur complement among the classes of all of them, each
     class counted once.  A factor drops a Schur complement once its last
     reader is factored, and after a grid the store drops the fronts of the
-    classes that no grid left in the plan has; after ``finest`` it keeps
-    nothing.  Another A_1, or any grid but the plan's next, starts a new
-    plan.
+    classes that no grid left in the plan has.  After ``finest``, or a grid
+    whose factor fails, it holds nothing; another A_1, or any grid but the
+    plan's next, starts a new plan.
     """
 
     finest: int = 0
@@ -387,15 +387,13 @@ def _multifrontal_cholesky(system: LinearSystem, store: FrontStore,
     On the uniform grid every element carries A_1, ``system.element_matrix``
     without its ``dof_scale``, rounded to float64 once here, and the boxes of
     one class see the same slot pattern, so each class's front is factored
-    once, bottom-up, and only if ``store`` holds no front for it.  The store's
-    plan (:class:`FrontStore`) frees each Schur complement once its last
-    reader is factored, on this grid or a later one, and keeps each front
-    until the last grid that has its class.  Returns, per depth from the
-    root, the front of each class that eliminates DOFs (m > 0) and its
-    boxes' (boxes, m + q) front slots, gathered after the depth loop, once
-    the Schur complements read for the last time are freed; the fill 2
-    nnz(L), the count of L plus U of an LU in this order; and the number of
-    classes factored.
+    once, bottom-up, and only if ``store`` holds no front for it; the store's
+    plan (:class:`FrontStore`) sets how long fronts and Schur complements are
+    held.  Returns, per depth from the root, the front of each class that
+    eliminates DOFs (m > 0) and its boxes' (boxes, m + q) front slots,
+    gathered after the depth loop, once the Schur complements read for the
+    last time are freed; the fill 2 nnz(L), the count of L plus U of an LU in
+    this order; and the number of classes factored.
     """
     slots, block = system.element_slots, system.element_matrix
     if system.dof_scale is not None:
@@ -415,30 +413,32 @@ def _multifrontal_cholesky(system: LinearSystem, store: FrontStore,
     touching = np.bincount(slots[slots >= 0], minlength=system.n_free)
     factor, made = [], 0
     below = None  # the next depth's boxes; its boxes are the halves
-    for box, keys, first, kind, half_cols in reversed(depths):
-        origin = box[1] * n + box[0]
-        level = []
-        for c, (key, b) in enumerate(zip(keys.tolist(), first)):
-            if key not in store.fronts:
-                halves = None if half_cols[0, b] < 0 else [
-                    (store.fronts[k], store.schur[k], below[:2, j] - box[:2, b])
-                    for j, k in zip(half_cols[:, b], tree[key])]
-                store.fronts[key], schur = _front(slots, block, touching, origin[b], n, halves)
-                del halves  # so that the Schur complements can be freed below
-                made += 1
-                for k in tree[key]:
-                    store.reads[k] -= 1
-                    if not store.reads[k]:
-                        del store.schur[k]
-                if store.reads[key]:
-                    store.schur[key] = schur
-            if store.fronts[key].m:
-                level.append((store.fronts[key], origin[kind == c]))
-        factor.append(level)
-        below = box
+    try:
+        for box, keys, first, kind, half_cols in reversed(depths):
+            origin = box[1] * n + box[0]
+            level = []
+            for c, (key, b) in enumerate(zip(keys.tolist(), first)):
+                if key not in store.fronts:
+                    halves = None if half_cols[0, b] < 0 else [
+                        (store.fronts[k], store.schur[k], below[:2, j] - box[:2, b])
+                        for j, k in zip(half_cols[:, b], tree[key])]
+                    store.fronts[key], schur = _front(slots, block, touching, origin[b], n, halves)
+                    del halves  # so that the Schur complements can be freed below
+                    made += 1
+                    for k in tree[key]:
+                        store.reads[k] -= 1
+                        if not store.reads[k]:
+                            del store.schur[k]
+                    if store.reads[key]:
+                        store.schur[key] = schur
+                if store.fronts[key].m:
+                    level.append((store.fronts[key], origin[kind == c]))
+            factor.append(level)
+            below = box
+    except BaseException:  # a failed grid holds nothing; the next starts a new plan
+        store.plan, store.fronts, store.schur = [], {}, {}
+        raise
     store.fronts = {k: f for k, f in store.fronts.items() if any(k in t for *_, t in store.plan)}
-    if not store.plan:  # and the Schur complements that a failed grid's readers left
-        store.schur = {}
     # the slot tables, gathered once the Schur complements read last are freed
     factor = [[(f, slots[o[:, None] + f.ref[1] * n + f.ref[0], f.ref[2]]) for f, o in level]
               for level in factor[::-1]]

@@ -483,10 +483,9 @@ def _same_solve(reused, fresh):
         fresh.iterations, fresh.residual, fresh.fill)
 
 
-def test_front_store_after_a_failed_grid_matches_fresh_solve(monkeypatch):
-    # a nonpositive pivot partway through level 4's factor leaves some of its
-    # classes unfactored and their halves' Schur complements held; level 5
-    # factors the classes it has and matches a fresh solve
+def _fail_level_4(monkeypatch):
+    """A store for p-enriched k=4 up to level 5 after levels 2 and 3, and a
+    nonpositive pivot partway through level 4's factor; returns the store."""
     store = assembly.FrontStore(finest=16)
     for level in (2, 3):
         solve(_system(Family.ENRICHED_P, 4, level, exact_solution().f)[3], store=store)
@@ -503,10 +502,24 @@ def test_front_store_after_a_failed_grid_matches_fresh_solve(monkeypatch):
         solve(_system(Family.ENRICHED_P, 4, 4, exact_solution().f)[3], store=store)
     assert len(calls) == 9 < 21  # level 4 factors 21 classes
     monkeypatch.setattr(assembly, "_front", front)
+    return store
+
+
+def test_front_store_after_a_failed_grid_holds_nothing(monkeypatch):
+    # neither the plan nor the fronts and Schur complements of levels 2 to 4
+    store = _fail_level_4(monkeypatch)
+    assert store.plan == []
+    assert store.fronts == store.schur == {}
+
+
+def test_front_store_after_a_failed_grid_matches_fresh_solve(monkeypatch):
+    # a nonpositive pivot partway through level 4's factor empties the store;
+    # level 5 starts a new plan and matches a fresh solve
+    store = _fail_level_4(monkeypatch)
     system = _system(Family.ENRICHED_P, 4, 5, exact_solution().f)[3]
-    reused = solve(system, store=store)
-    _same_solve(reused, solve(system))
-    assert reused.fronts > 21  # with the classes that level 4 left
+    reused, fresh = solve(system, store=store), solve(system)
+    _same_solve(reused, fresh)
+    assert reused.fronts == fresh.fronts  # level 5 starts a new plan
     assert store.fronts == store.schur == {}
 
 
@@ -668,10 +681,12 @@ def test_evaluate_solution_caches_nothing(rng):
     dm = build_dof_map(mesh, eb)
     coeffs = rng.standard_normal(dm.total)
     assembly.reference_table(eb)
-    sizes = (assembly.reference_table.cache_info().currsize, sorted(vars(eb)))
+    # the whole cache_info: with one entry, a table built for another basis
+    # would leave currsize at 1 but count a miss
+    state = (assembly.reference_table.cache_info(), sorted(vars(eb)))
     for x, y in rng.uniform(0, 1, size=(100, 2)):
         evaluate_solution(mesh, dm, eb, coeffs, x, y, deriv=(1, 1))
-    assert (assembly.reference_table.cache_info().currsize, sorted(vars(eb))) == sizes
+    assert (assembly.reference_table.cache_info(), sorted(vars(eb))) == state
 
 
 @pytest.mark.parametrize("family,k", [(Family.BFS_Q, 4), (Family.ENRICHED_P, 8)])

@@ -509,6 +509,15 @@ def test_study_tabulates_once_per_basis(monkeypatch):
     assert len(calls) == 2 and max(calls.values()) <= 6
 
 
+def test_reference_table_outlives_its_study_only_until_the_next_basis():
+    run_study(StudyConfig(family=Family.ENRICHED_P, k=4, max_level=2))
+    table = weakref.ref(assembly.reference_table(element_basis(Family.ENRICHED_P, 4)))
+    run_study(StudyConfig(family=Family.BFS_Q, k=4, max_level=2))
+    gc.collect()
+    assert table() is None
+    assert assembly.reference_table.cache_info().currsize == 1
+
+
 def test_unisolvency_counts_can_fail(monkeypatch):
     # one interior DOF too many in the layout count against the closed form
     patched = copy.copy(element_basis(Family.ENRICHED_P, 4))
