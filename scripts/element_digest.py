@@ -9,8 +9,11 @@ Run each checkout's own copy on its own ``src`` and compare the outputs:
     diff a.txt b.txt
 
 Digests are SHA-256 over dtype, shape and bytes; other floats print by ``repr``.
-The long-double element block is hashed as its exact float64 split (hi, lo):
-its own bytes include x87 padding, which is never initialized.
+The level-3 element block is the scaled long-double block that older checkouts
+stored, h^(o_m + o_n - 2) times the reference stiffness, formed here from
+``element_matrix`` (A_1) in the same order, so the lines stay comparable.  It
+is hashed as its exact float64 split (hi, lo): its own bytes include x87
+padding, which is never initialized.
 LAPACK builds differ between machines, so compare outputs from one machine.
 The study rows depend on the BLAS thread count (p-enriched k=8 level 4's
 L2 error moves in the third digit), so the script pins OpenBLAS, OpenMP and
@@ -67,8 +70,10 @@ for family in Family:
                   digest(*(getattr(dm, name) for name in DOF_MAP_FIELDS)))
             if level == 3:
                 system = assemble(mesh, dm, eb, exact_solution().f)
-                hi = system.element_matrix.astype(float)
-                lo = (system.element_matrix - hi).astype(float)
+                scale = mesh.h ** eb.deriv_orders.astype(float)
+                block = system.element_matrix * np.outer(scale, scale) / mesh.h**2
+                hi = block.astype(float)
+                lo = (block - hi).astype(float)
                 print("  level 3 system", digest(hi, lo, system.element_slots, system.rhs))
         print("  verify", [(c.name, repr(c.value)) for c in verify(family, k, 3)])
 

@@ -6,17 +6,16 @@ Scaling rule: with the map x = x0 + h xi, the physical nodal function of a
 DOF of derivative order o is h^o times the reference one.  So a stiffness
 entry picks up h^(o_m + o_n - 2), a load entry h^(o_m + 2), and evaluation
 multiplies physical DOF values by h^o and divides a (d_x, d_y) derivative by
-h^(d_x + d_y).  On a uniform mesh every element shares the scaled reference
-stiffness block and one tabulation per evaluation, so assembly and
-evaluation are array operations over (element, local DOF), the direct
-solver factors one front per class of nested-dissection boxes, not per box,
-and CG's preconditioner inverts one block per class of elements.  The
-fronts factor the block without its level scaling, and a class does not
-depend on the grid size, so a study factors each class once
-(:class:`FrontStore`) and every finer level reuses it.
-That block, in long double, and the element slots are the operator: every
-solve applies and factors it matrix-free, and only the ``matrix`` property
-of :class:`LinearSystem` assembles it, as a reference.
+h^(d_x + d_y).  So the operator is A = S A_1 S: the basis's long-double
+reference stiffness A_1 on every element's slots, between the scalings
+S = diag(h^(o - 1)) of the free slots, exact where h is a power of two, as
+on every level.  Assembly and evaluation are array operations over
+(element, local DOF); every solve applies and factors A matrix-free, and
+only the ``matrix`` property of :class:`LinearSystem` assembles it, as a
+reference.  The direct solver factors A_1 in one front per class of
+nested-dissection boxes and CG's preconditioner inverts one block of A_1
+per class of elements; a class does not depend on the grid size, so a study
+factors each class once (:class:`FrontStore`) and every finer level reuses it.
 """
 
 from __future__ import annotations
@@ -81,8 +80,9 @@ def gauss_rule(m: int) -> QuadratureRule:
 
 @dataclass(eq=False)
 class LinearSystem:
-    """Reduced SPD system over the free (unconstrained) DOFs: the sum over
-    elements of ``element_matrix`` on each element's ``element_slots``."""
+    """Reduced SPD system over the free (unconstrained) DOFs, A = S A_1 S:
+    the sum over elements of A_1 = ``element_matrix`` on each element's
+    ``element_slots``, between the scalings S = diag(``scale``)."""
 
     rhs: FloatArray
     free_dofs: np.ndarray    # free slot -> global DOF
@@ -90,14 +90,10 @@ class LinearSystem:
     #: (element, local DOF) -> free slot, -1 if constrained; the blocks of the
     #: CG preconditioner and the boxes of the direct factor
     element_slots: np.ndarray
-    #: (dim, dim) block every element adds on its slots; long double from
-    #: :func:`assemble`
+    #: (dim, dim) A_1 every element adds on its slots; from :func:`assemble`,
+    #: the basis's long-double reference stiffness itself, on every level
     element_matrix: np.ndarray
-    #: (dim,) scale s of each local DOF, h^(o - 1) for a DOF of derivative
-    #: order o: the direct factor's fronts factor A_1 = ``element_matrix`` /
-    #: (s s^T), the same block on every level where h is a power of two;
-    #: None for all ones
-    dof_scale: FloatArray | None = None
+    scale: FloatArray  # (n_free,) s, h^(o - 1) of a free slot's derivative order o
 
     @property
     def n_free(self) -> int:
@@ -105,17 +101,17 @@ class LinearSystem:
 
     @cached_property
     def matrix(self):
-        """Assembled float64 CSR, a reference built on first use; no solve reads
+        """Assembled float64 CSR of S fl64(A_1) S, a reference; no solve reads
         it.  Duplicate slot pairs are summed by scipy, not in element order,
         so an entry can differ from an element loop's sum by roundoff."""
         from scipy.sparse import coo_matrix
-        slots = self.element_slots
+        slots, s = self.element_slots, self.scale
         keep = slots >= 0
         pairs = keep[:, :, None] & keep[:, None, :]
         rows = np.broadcast_to(slots[:, :, None], pairs.shape)[pairs]
         cols = np.broadcast_to(slots[:, None, :], pairs.shape)[pairs]
         vals = np.broadcast_to(self.element_matrix.astype(float), pairs.shape)[pairs]
-        return coo_matrix((vals, (rows, cols)), shape=(self.n_free,) * 2).tocsr()
+        return coo_matrix((vals * s[rows] * s[cols], (rows, cols)), shape=(len(s),) * 2).tocsr()
 
 
 @dataclass(frozen=True, eq=False)
@@ -167,8 +163,8 @@ def assemble(
 
     ``f`` must accept broadcastable arrays (:func:`on_quadrature_grid`).
     Constrained rows and columns are eliminated (homogeneous data, so no
-    right-hand-side correction).  The long-double element block scales the
-    reference stiffness exactly where h is a power of two, as on every level.
+    right-hand-side correction).  The operator is the basis's reference
+    stiffness A_1 itself, scaled by s = h^(o - 1) on each free slot.
     """
     if dof_map.local_to_global.shape[1] != basis.dim:
         raise DimensionMismatch(
@@ -177,8 +173,6 @@ def assemble(
     table = reference_table(basis)
     h = mesh.h
     scale = h ** basis.deriv_orders.astype(float)
-    elem_stiff = table.stiff * np.outer(scale, scale) / h**2
-    load_scale = scale * h**2
 
     free_index = -np.ones(dof_map.total, dtype=np.int64)
     free_dofs = np.flatnonzero(~dof_map.is_boundary)
@@ -187,10 +181,12 @@ def assemble(
     keep = fslots >= 0
 
     fq = on_quadrature_grid(f, mesh, table.quad)
-    load = load_scale * ((fq * table.quad.weights) @ table.tab[(0, 0)])
+    load = scale * h**2 * ((fq * table.quad.weights) @ table.tab[(0, 0)])
     rhs = np.bincount(fslots[keep], weights=load[keep], minlength=len(free_dofs))
+    s = np.empty(len(free_dofs))  # a free slot has one derivative order
+    s[fslots[keep]] = np.broadcast_to(scale / h, fslots.shape)[keep]
     return LinearSystem(rhs=rhs, free_dofs=free_dofs, total=dof_map.total,
-                        element_slots=fslots, element_matrix=elem_stiff, dof_scale=scale / h)
+                        element_slots=fslots, element_matrix=table.stiff, scale=s)
 
 
 @dataclass
@@ -206,19 +202,20 @@ class SolveResult:
 SOLVER_METHODS = ("direct", "cg")
 
 
-def _expand(system: LinearSystem, x: FloatArray) -> FloatArray:
-    full = np.zeros(system.total)
-    full[system.free_dofs] = x
-    return full
-
-
-def _apply(slots: np.ndarray, block: np.ndarray, x: FloatArray) -> np.ndarray:
-    """A x in the dtype of ``block``, unassembled: gather x on every element's
-    slots, multiply by the block, scatter-add; slot -1 is a padded last entry."""
+def _apply(system: LinearSystem, x: FloatArray) -> np.ndarray:
+    """A x = S A_1 S x in the dtype of A_1, unassembled: gather S x on every
+    element's slots, multiply by A_1, scatter-add and scale by S; slot -1 is
+    a padded last entry."""
+    slots, block, s = system.element_slots, system.element_matrix, system.scale
     y = np.zeros(len(x) + 1, dtype=block.dtype)
-    g = np.append(x, 0.0).astype(block.dtype)[slots]
+    g = np.append(s * x, 0.0).astype(block.dtype)[slots]
     np.add.at(y, slots, np.einsum("ei,ij->ej", g, block))
-    return y[:-1]
+    return s * y[:-1]
+
+
+def _scaled(s: FloatArray, apply: Callable) -> Callable[[FloatArray], FloatArray]:
+    """x -> S apply(S x) for S = diag(s)."""
+    return lambda x: s * apply(s * x)
 
 
 def _sides(x0, y0, w, h, n: int):
@@ -284,16 +281,15 @@ class FrontStore:
     ``finest`` of one study, solved in that order: each class is factored on
     the first grid that has it, and every finer grid reuses its front.
 
-    A class key holds no grid size, and the fronts factor A_1, the element
-    block without its level scaling (``LinearSystem.dof_scale``), so a front
-    does not depend on the level.  The first grid makes a plan: the
-    dissections of the grids from it to ``finest``, and for each class the
-    readers of its Schur complement among the classes of all of them, each
-    class counted once.  A factor drops a Schur complement once its last
-    reader is factored, and after a grid the store drops the fronts of the
-    classes that no grid left in the plan has.  After ``finest``, or a grid
-    whose factor fails, it holds nothing; another A_1, or any grid but the
-    plan's next, starts a new plan.
+    A class key holds no grid size, and the fronts factor A_1, the operator
+    without its level scaling S, so a front does not depend on the level.
+    The first grid makes a plan: the dissections of the grids from it to
+    ``finest``, and for each class the readers of its Schur complement among
+    the classes of all of them, each class counted once.  A factor drops a
+    Schur complement once its last reader is factored, and after a grid the
+    store drops the fronts of the classes that no grid left in the plan has.
+    After ``finest``, or a grid whose factor fails, it holds nothing; another
+    A_1, or any grid but the plan's next, starts a new plan.
     """
 
     finest: int = 0
@@ -351,7 +347,7 @@ def _front(slots: np.ndarray, block: FloatArray, touching: np.ndarray, origin: i
     """
     if halves is None:
         local = np.flatnonzero(slots[origin] >= 0)
-        ref, occ = np.stack([np.zeros_like(local), np.zeros_like(local), local]), np.ones(len(local))
+        ref, occ = np.stack([0 * local, 0 * local, local]), np.ones(len(local))
         dof = slots[origin, local]
     else:
         ref = np.hstack([f.ref[:, f.m:] + [[dx], [dy], [0]] for f, _, (dx, dy) in halves])
@@ -379,15 +375,14 @@ def _front(slots: np.ndarray, block: FloatArray, touching: np.ndarray, origin: i
     return front, np.subtract(F[m:, m:], schur, out=schur)
 
 
-def _multifrontal_cholesky(system: LinearSystem, store: FrontStore,
+def _multifrontal_cholesky(system: LinearSystem, block: FloatArray, store: FrontStore,
                            ) -> tuple[list[list[tuple[_Front, np.ndarray]]], int, int]:
-    """Multifrontal Cholesky (Duff & Reid, ACM TOMS 9, 1983) of A_1 in the
-    order of :func:`_dissection`, down to single elements.
+    """Multifrontal Cholesky (Duff & Reid, ACM TOMS 9, 1983) of the float64
+    A_1 ``block`` summed on the element slots, in :func:`_dissection`'s order.
 
-    On the uniform grid every element carries A_1, ``system.element_matrix``
-    without its ``dof_scale``, rounded to float64 once here, and the boxes of
-    one class see the same slot pattern, so each class's front is factored
-    once, bottom-up, and only if ``store`` holds no front for it; the store's
+    On the uniform grid every element carries A_1, and the boxes of one
+    class see the same slot pattern, so each class's front is factored once,
+    bottom-up, and only if ``store`` holds no front for it; the store's
     plan (:class:`FrontStore`) sets how long fronts and Schur complements are
     held.  Returns, per depth from the root, the front of each class that
     eliminates DOFs (m > 0) and its boxes' (boxes, m + q) front slots,
@@ -395,10 +390,7 @@ def _multifrontal_cholesky(system: LinearSystem, store: FrontStore,
     last time are freed; the fill 2 nnz(L), the count of L plus U of an LU in
     this order; and the number of classes factored.
     """
-    slots, block = system.element_slots, system.element_matrix
-    if system.dof_scale is not None:
-        block = block / np.outer(system.dof_scale, system.dof_scale)
-    block = block.astype(float)
+    slots = system.element_slots
     n = round(len(slots) ** 0.5)
     if not (np.array_equal(store.block, block) and store.plan and store.plan[0][0] == n):
         # a new plan: the grids n, 2n, ..., finest and the union of their trees
@@ -447,29 +439,23 @@ def _multifrontal_cholesky(system: LinearSystem, store: FrontStore,
     return factor, fill, made
 
 
-def _direct_solver(system: LinearSystem, store: FrontStore,
+def _direct_solver(system: LinearSystem, block: FloatArray, store: FrontStore,
                    ) -> tuple[Callable[[FloatArray], tuple[FloatArray, int]], int, int]:
-    """:func:`_multifrontal_cholesky`'s factor and its triangular solves;
-    returns the solver, the fill and the number of classes factored.  The
-    factor holds no front that eliminates nothing: such a front leaves its
-    slots as they are.
+    """:func:`_multifrontal_cholesky`'s factor of the float64 A_1 ``block``
+    and its triangular solves; returns the solver, the fill and the number
+    of classes factored.  The factor holds no front that eliminates nothing:
+    such a front leaves its slots as they are.
 
-    With S = diag(s) over the free slots from ``system.dof_scale``, A = S
-    A_1 S, so A^-1 r = S^-1 A_1^-1 S^-1 r; s holds powers of two, so
-    both scalings are exact.  Forward, deepest boxes first, each class
-    gathers its boxes' eliminated entries, applies M and scatters the update
-    W^T z onto the interfaces; backward, root first, it sets each box's
-    eliminated values v_e to (v_e - v_i W^T) M from its interface values v_i.
-    Python loops run over depths and classes only.
+    A^-1 r = S^-1 A_1^-1 S^-1 r, both scalings exact.  Forward, deepest boxes
+    first, each class gathers its boxes' eliminated entries, applies M and
+    scatters the update W^T z onto the interfaces; backward, root first, it
+    sets each box's eliminated values v_e to (v_e - v_i W^T) M from its
+    interface values v_i.  Python loops run over depths and classes only.
     """
-    factor, fill, fronts = _multifrontal_cholesky(system, store)
-    slots = system.element_slots
-    scale = np.ones(system.n_free)
-    if system.dof_scale is not None:
-        scale[slots[slots >= 0]] = np.broadcast_to(system.dof_scale, slots.shape)[slots >= 0]
+    factor, fill, fronts = _multifrontal_cholesky(system, block, store)
 
     def solve_ll(r: FloatArray) -> tuple[FloatArray, int]:
-        v = r / scale
+        v = r / system.scale
         for level in reversed(factor):
             for f, s in level:
                 z = v[s[:, :f.m]] @ f.inv_l.T
@@ -479,7 +465,7 @@ def _direct_solver(system: LinearSystem, store: FrontStore,
         for level in factor:
             for f, s in level:
                 v[s[:, :f.m]] = (v[s[:, :f.m]] - v[s[:, f.m:]] @ f.w.T) @ f.inv_l
-        return v / scale, 1
+        return v / system.scale, 1
 
     return solve_ll, fill, fronts
 
@@ -504,16 +490,17 @@ def _element_block_preconditioner(system: LinearSystem, block: FloatArray,
                                   ) -> Callable[[FloatArray], FloatArray]:
     """Additive Schwarz over elements: r -> sum_e R_e^T A_ee^-1 R_e r.
 
-    Elements that touch the same sides of the square (:func:`_sides`) share
-    A_ee, the operator restricted to their free slots, so it is read once per
-    class, from CG's product with the float64 element ``block`` on the unit
-    vectors of the first element's free slots, with the identity on
-    constrained slots.  The product runs over the elements that touch a
-    probed slot only, on their own slots: these hold every term on the
-    probed slots, summed in the same element order.  Each distinct block is
-    inverted once through :func:`_inverse_factor` and applied to all of its
-    elements in one product.  Only the operator's products enter, never the global
-    factorization, so CG stays an independent check of the direct solve.
+    A_ee = S_e B_e S_e, so the sum is S^-1 P(S^-1 r) for P, the same sum over
+    the B_e^-1.  B_e, the sum of the float64 A_1 ``block`` on the element's
+    free slots, is shared by the elements that touch the same sides of the
+    square (:func:`_sides`), so it is read once per class, from the product
+    with ``block`` on the unit vectors of the first element's free slots,
+    with the identity on constrained slots.  The product runs over the
+    elements that touch a probed slot only, on their own slots: these hold
+    every term on the probed slots, summed in the same element order.  Each
+    distinct block is inverted once through :func:`_inverse_factor` and
+    applied to all of its elements in one product.  Only A_1's products
+    enter, never the global factorization, so CG stays an independent check.
     """
     slots, n = system.element_slots, system.n_free
     side = round(len(slots) ** 0.5)
@@ -546,15 +533,14 @@ def _element_block_preconditioner(system: LinearSystem, block: FloatArray,
     inv = [m.T @ m for m in map(_inverse_factor, blocks[order[new]])]
     by_kind = slots[np.argsort(kind, kind="stable")]
     groups = np.split(by_kind, np.cumsum(np.bincount(kind))[:-1])
-    return _element_sum(groups, inv, n)
+    return _scaled(1.0 / system.scale, _element_sum(groups, inv, n))
 
 
 def _pcg_solver(system: LinearSystem, rel_tol: float, block: FloatArray,
                 product: Callable[[FloatArray], FloatArray],
                 ) -> Callable[[FloatArray], tuple[FloatArray, int]]:
-    """Element-block preconditioned conjugate gradients from a zero guess,
-    with the ``product`` by the float64 element ``block``
-    (:func:`_element_sum`), which also gives the preconditioner.
+    """Conjugate gradients from a zero guess on the float64 ``product`` S A_1 S,
+    preconditioned by element blocks of the float64 A_1 ``block``.
 
     Each solve stops once the recursively updated residual is below
     ``rel_tol`` relative to its right-hand side, and raises
@@ -603,23 +589,23 @@ def _refine(system: LinearSystem,
     Comput. 40, 2018).
 
     Each step solves A d = r in float64 with ``correction`` and adds d to e,
-    for r = r0 - A e: r0 = b - A x0 comes from :func:`_apply` in the dtype of
-    ``element_matrix`` (long double from :func:`assemble`), A e from the
-    float64 ``product`` (:func:`_element_sum`).  Once max |e| passes
-    (u_block / u) max |x0|, as on the first step from x0 = 0, x0 + e is
-    rounded into x0, e restarts at 0 and r0 is formed again; below that
-    bound the float64 error of A e stays under the block's.  It stops once |d|, or from the second step on
-    the corrections still to come, |d| rho / (1 - rho) for the ratio rho of
-    |d| to the previous step (Demmel, Hida, Kahan, Li, Mukherjee & Riedy, ACM
+    for r = r0 - A e, A = S A_1 S: r0 = b - A x0 comes from :func:`_apply`
+    in the dtype of A_1 (long double from :func:`assemble`), A e from the
+    float64 ``product``.  Once max |e| passes (u_A1 / u) max |x0|, as on the
+    first step from x0 = 0, x0 + e is rounded into x0, e restarts at 0 and
+    r0 is formed again; below that bound the float64 error of A e stays
+    under that of r0.  It stops once |d|, or from the second step on the
+    corrections still to come, |d| rho / (1 - rho) for the ratio rho of |d|
+    to the previous step (Demmel, Hida, Kahan, Li, Mukherjee & Riedy, ACM
     TOMS 32, 2006), are below one ulp of max |x0 + e|, or when d stops
     shrinking (more than half the previous step; that step is not applied).
     Returns x = fl(x0 + e), the summed count of ``correction``, and the
     relative residual of x: r + A err, for the rounding error err of x from
     TwoSum.
     """
-    slots, block = system.element_slots, system.element_matrix
-    anchor = np.finfo(block.dtype).eps / np.finfo(float).eps
-    b = system.rhs.astype(block.dtype)
+    dtype = system.element_matrix.dtype
+    anchor = np.finfo(dtype).eps / np.finfo(float).eps
+    b = system.rhs.astype(dtype)
     x0 = e = np.zeros(system.n_free)
     r0, r, count, last = b, b, 0, np.inf
     while True:
@@ -631,7 +617,7 @@ def _refine(system: LinearSystem,
         e = e + d
         if np.max(np.abs(e)) > anchor * np.max(np.abs(x0)):
             x0, e = x0 + e, np.zeros_like(e)
-            r0 = r = b - _apply(slots, block, x0)
+            r0 = r = b - _apply(system, x0)
         else:
             r = r0 - product(e)
         ulp = np.finfo(float).eps * np.max(np.abs(x0 + e))
@@ -650,13 +636,13 @@ def solve(system: LinearSystem, rel_tol: float = 1e-13,
           method: str = "direct", store: FrontStore | None = None) -> SolveResult:
     """Solve the reduced system; returns the expanded global coefficients.
 
-    method: "direct" (nested-dissection Cholesky factored from
-    ``element_matrix`` on ``element_slots``; see :func:`_direct_solver`) or
-    "cg" (conjugate gradients on the float64 element block, preconditioned
-    by element blocks, each solve to relative residual ``rel_tol`` within
-    50 * dim iterations).  ``store`` lends the direct method the fronts of
-    a study's coarser grids; without one it factors every class afresh.
-    Both methods are refined around one matrix-free
+    A_1 is rounded to float64 once, for the factor or CG's preconditioner
+    and the float64 product S fl64(A_1) S of CG and the refinement.  method:
+    "direct" (nested-dissection Cholesky; see :func:`_direct_solver`) or
+    "cg" (preconditioned by element blocks, each solve to relative residual
+    ``rel_tol`` within 50 * dim iterations).  ``store`` lends the direct
+    method the fronts of a study's coarser grids; without one it factors
+    every class afresh.  Both methods are refined around one matrix-free
     long-double residual per solve (see :func:`_refine`), so they return the
     solution of the long-double operator up to its conditioning times the
     long-double unit roundoff; where ``np.longdouble`` is float64, not below
@@ -668,17 +654,19 @@ def solve(system: LinearSystem, rel_tol: float = 1e-13,
     if method not in SOLVER_METHODS:
         raise ValueError(f"unknown solver method {method!r}")
     if system.n_free == 0:
-        return SolveResult(_expand(system, np.zeros(0)), 0, 0.0, "empty", 0, 0)
+        return SolveResult(np.zeros(system.total), 0, 0.0, "empty", 0, 0)
+    block = system.element_matrix.astype(float)
     if method == "direct":
         correction, fill, made = _direct_solver(
-            system, FrontStore() if store is None else store)
-    # one float64 operator for CG and the refinement, formed after the factor
-    block = system.element_matrix.astype(float)
-    product = _element_sum([system.element_slots], [block], system.n_free)
+            system, block, FrontStore() if store is None else store)
+    # one float64 product for CG and the refinement, formed after the factor
+    product = _scaled(system.scale, _element_sum([system.element_slots], [block], system.n_free))
     if method == "cg":
         correction, fill, made = _pcg_solver(system, rel_tol, block, product), 0, 0
     x, iterations, rel = _refine(system, correction, product)
-    return SolveResult(_expand(system, x), iterations, rel, method, fill, made)
+    coeffs = np.zeros(system.total)
+    coeffs[system.free_dofs] = x
+    return SolveResult(coeffs, iterations, rel, method, fill, made)
 
 
 def evaluate_on_elements(

@@ -20,6 +20,12 @@ import numpy as np
 from .elements import VERTEX_KINDS, ElementBasis
 from .poly2d import FloatArray
 
+
+def is_integer(x) -> bool:
+    """An int or a numpy integer, not a bool."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class RectMesh:
     """Uniform n x n mesh of [0,1]^2 with implicit structured topology."""
@@ -27,8 +33,8 @@ class RectMesh:
     n: int
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("need at least one subdivision per side")
+        if not (is_integer(self.n) and self.n >= 1):
+            raise ValueError(f"subdivisions per side must be a positive integer, got {self.n!r}")
 
     @property
     def h(self) -> float:

@@ -24,7 +24,7 @@ from . import assembly
 from .assembly import gauss_rule
 from .elements import (ElementBasis, Family, _pk_monomials, _qk_monomials,
                        element_basis, unisolvency_report)
-from .mesh import MAX_LEVEL, DofMap, RectMesh, build_dof_map, build_mesh, clamped_flags
+from .mesh import MAX_LEVEL, DofMap, RectMesh, build_dof_map, build_mesh, clamped_flags, is_integer
 from .poly2d import FloatArray, functional_matrix
 
 
@@ -120,10 +120,10 @@ def error_norms(
 
 
 def _check_degree_and_level(k: int, level: int) -> None:
-    """Shared by :class:`StudyConfig` and :func:`verify`: k in 4..8, both integers."""
-    if not (isinstance(k, (int, np.integer)) and 4 <= k <= 8):
+    """Shared by :class:`StudyConfig` and :func:`verify`: integers, k in 4..8."""
+    if not (is_integer(k) and 4 <= k <= 8):
         raise ValueError("degree must be between 4 and 8")
-    if not isinstance(level, (int, np.integer)):
+    if not is_integer(level):
         raise ValueError(f"refinement level must be in 1..{MAX_LEVEL}, got {level}")
 
 
@@ -138,6 +138,7 @@ class StudyConfig:
     def __post_init__(self):
         self.family = Family(self.family)
         _check_degree_and_level(self.k, self.max_level)
+        self.k, self.max_level = int(self.k), int(self.max_level)
         if self.max_level < 1:
             raise ValueError("need at least one level")
         if self.max_level > MAX_LEVEL:

@@ -145,8 +145,9 @@ def test_stiffness_symmetry_and_definiteness():
 
 def _loop_assemble(mesh, dm, eb, f):
     """Per-element loop assembly: the reference for the array pipeline.  The
-    element block is formed in long double, the CSR from it rounded; both
-    rules are tabulated per axis, as in ``reference_table``."""
+    reference stiffness A_1 and the scaled element block are formed in long
+    double, the CSR from the block rounded; both rules are tabulated per
+    axis, as in ``reference_table``."""
     qs = gauss_rule(eb.k + 1)
     ql = gauss_rule(eb.k + 6)
     h = mesh.h
@@ -175,15 +176,16 @@ def _loop_assemble(mesh, dm, eb, f):
     matrix = scipy.sparse.coo_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(n, n)).tocsr()
-    return matrix, rhs, elem_stiff
+    return matrix, rhs, ref_stiff
 
 
 @pytest.mark.parametrize("family,k", [(Family.ENRICHED_P, 8), (Family.BFS_Q, 6)])
 def test_assembly_matches_element_loop(family, k):
     f = exact_solution().f
     mesh, dm, eb, system = _system(family, k, 3, f)
-    matrix, rhs, block = _loop_assemble(mesh, dm, eb, f)
-    assert np.array_equal(system.element_matrix, block)
+    matrix, rhs, ref_stiff = _loop_assemble(mesh, dm, eb, f)
+    # the operator is S A_1 S: A_1 as the loop forms it, S in the CSR below
+    assert np.array_equal(system.element_matrix, ref_stiff)
     assert np.array_equal(system.matrix.indptr, matrix.indptr)
     assert np.array_equal(system.matrix.indices, matrix.indices)
     assert np.array_equal(system.matrix.data, matrix.data)
@@ -197,7 +199,7 @@ def test_matrix_free_product_matches_element_loop(family, k, dtype, rng):
     mesh, dm, eb, system = _system(family, k, 3, f)
     matrix, _, _ = _loop_assemble(mesh, dm, eb, f)
     x = rng.standard_normal(system.n_free)
-    y = assembly._apply(system.element_slots, system.element_matrix.astype(dtype), x)
+    y = assembly._apply(replace(system, element_matrix=system.element_matrix.astype(dtype)), x)
     assert y.dtype == dtype
     ref = matrix @ x
     assert np.max(np.abs(y - ref)) <= 1e-15 * np.max(np.abs(ref))
@@ -213,6 +215,41 @@ def test_direct_solve_builds_no_matrix():
 
 def _preconditioner(system):
     return assembly._element_block_preconditioner(system, system.element_matrix.astype(float))
+
+
+def test_assemble_shares_the_reference_stiffness():
+    # every level's operator holds the basis's A_1 itself, not a copy
+    eb = element_basis(Family.ENRICHED_P, 5)
+    for level in (2, 3):
+        system = _system(Family.ENRICHED_P, 5, level, exact_solution().f)[3]
+        assert system.element_matrix is assembly.reference_table(eb).stiff
+
+
+# both families at k = 4 and 8 on levels 1-4; p-enriched k=4 level 1 has no
+# free slot
+SCALED_LEVELS = [(family, k, level) for family in Family for k in (4, 8)
+                 for level in range(1, 5) if (family, k, level) != (Family.ENRICHED_P, 4, 1)]
+
+
+@pytest.mark.parametrize("family,k,level", SCALED_LEVELS)
+def test_operator_matches_scaled_element_block(family, k, level, rng):
+    # the per-level long-double block h^(o_m + o_n - 2) A_1 of each element,
+    # the operator before S A_1 S: where h is a power of two, its residual
+    # product, its float64 product and its preconditioner are bit-identical
+    mesh, _, eb, system = _system(family, k, level, exact_solution().f)
+    scale = mesh.h ** eb.deriv_orders.astype(float)
+    block = system.element_matrix * np.outer(scale, scale) / mesh.h**2
+    slots, n = system.element_slots, system.n_free
+    x = rng.standard_normal(n)
+    y = np.zeros(n + 1, dtype=block.dtype)
+    np.add.at(y, slots, np.einsum("ei,ij->ej", np.append(x, 0.0).astype(block.dtype)[slots],
+                                  block))
+    assert np.array_equal(assembly._apply(system, x), y[:-1])
+    old = assembly._element_sum([slots], [block.astype(float)], n)
+    assert np.array_equal(_product(system)(x), old(x))
+    unscaled = replace(system, scale=np.ones(n))
+    old = assembly._element_block_preconditioner(unscaled, block.astype(float))
+    assert np.array_equal(_preconditioner(system)(x), old(x))
 
 
 @pytest.mark.parametrize("family,k,n", [
@@ -258,8 +295,9 @@ def test_cg_inverts_one_block_per_class(monkeypatch, family, k, level):
 
 @pytest.mark.parametrize("family,k,level", [(Family.ENRICHED_P, 4, 5), (Family.BFS_Q, 8, 4)])
 def test_preconditioner_blocks_equal_whole_grid_probes(monkeypatch, family, k, level):
-    # the block of each class's first element, read by whole-grid products on
-    # the unit vectors of its free slots, constrained slots set to the identity
+    # the block of each class's first element, read by whole-grid products
+    # with A_1, without the level's scaling, on the unit vectors of its free
+    # slots, constrained slots set to the identity
     _, _, _, system = _system(family, k, level, exact_solution().f)
     slots, n = system.element_slots, system.n_free
     product = assembly._element_sum([slots], [system.element_matrix.astype(float)], n)
@@ -281,10 +319,22 @@ def test_preconditioner_blocks_equal_whole_grid_probes(monkeypatch, family, k, l
     assert np.array_equal(inverted, distinct)
 
 
+def _factor(system):
+    """:func:`assembly._multifrontal_cholesky` of the float64 A_1, as ``solve``
+    forms it, with a fresh store."""
+    return assembly._multifrontal_cholesky(system, system.element_matrix.astype(float),
+                                           assembly.FrontStore())
+
+
+def _direct_solver(system):
+    return assembly._direct_solver(system, system.element_matrix.astype(float),
+                                   assembly.FrontStore())
+
+
 def _eliminated(system):
     """Free slots in the order the direct factor eliminates them, deepest
     boxes first."""
-    factor, *_ = assembly._multifrontal_cholesky(system, assembly.FrontStore())
+    factor, *_ = _factor(system)
     # a grid without free slots has no front that eliminates any
     return np.concatenate([np.zeros(0, int)] + [s[:, :f.m].ravel() for level in factor[::-1]
                                                 for f, s in level])
@@ -302,11 +352,13 @@ def test_nested_dissection_is_a_permutation(family, k):
 def test_nested_dissection_of_relabelled_system():
     _, _, _, system = _system(Family.ENRICHED_P, 8, 3, exact_solution().f)
     slot = np.random.default_rng(0).permutation(system.n_free)
+    scale = np.empty(system.n_free)
+    scale[slot] = system.scale
     relabelled = LinearSystem(
         rhs=system.rhs, free_dofs=system.free_dofs, total=system.total,
         element_slots=np.where(system.element_slots >= 0,
                                slot[system.element_slots], -1),
-        element_matrix=system.element_matrix)
+        element_matrix=system.element_matrix, scale=scale)
     assert np.array_equal(np.sort(_eliminated(relabelled)), np.arange(system.n_free))
 
 
@@ -326,7 +378,7 @@ def test_nested_dissection_top_split_decouples_halves(family, k, level):
     assert system.matrix[left][:, right].nnz == 0
     # the root class is the one box, the whole grid, with no interface; it
     # eliminates exactly the slots that touch both halves
-    factor, *_ = assembly._multifrontal_cholesky(system, assembly.FrontStore())
+    factor, *_ = _factor(system)
     (root, s), = factor[0]
     assert s.shape == (1, root.m)
     assert np.array_equal(np.sort(s[0]), np.flatnonzero(~left & ~right))
@@ -349,7 +401,8 @@ def test_nested_dissection_of_one_element_is_one_cholesky(monkeypatch):
     a = np.array([[4.0, 1.0, 0.0, 1.0], [1.0, 5.0, 2.0, 0.0],
                   [0.0, 2.0, 6.0, 1.0], [1.0, 0.0, 1.0, 3.0]])
     system = LinearSystem(rhs=np.ones(4), free_dofs=np.arange(4), total=4,
-                          element_slots=np.arange(4)[None, :], element_matrix=a)
+                          element_slots=np.arange(4)[None, :], element_matrix=a,
+                          scale=np.ones(4))
     result = solve(system)
     assert calls == [(4, 4)]
     assert np.max(np.abs(result.coeffs - np.linalg.solve(a, np.ones(4)))) < 1e-15
@@ -370,7 +423,7 @@ def test_direct_factors_one_front_per_class(monkeypatch, family, k):
     calls = _count_cholesky(monkeypatch)
     made, front = [], assembly._front
     monkeypatch.setattr(assembly, "_front", lambda *a: made.append(front(*a)) or made[-1])
-    factor, *_ = assembly._multifrontal_cholesky(system, assembly.FrontStore())
+    factor, *_ = _factor(system)
     # one front per class, made deepest depth first, with its number of boxes
     depths, fronts = assembly._dissection(16), iter(f for f, _ in made)
     classes = [[(next(fronts), np.count_nonzero(kind == c)) for c in range(len(keys))]
@@ -435,7 +488,7 @@ def test_front_matches_flat_index_extend_add(monkeypatch, family, k, level):
         return got, schur
 
     monkeypatch.setattr(assembly, "_front", both)
-    assembly._multifrontal_cholesky(system, assembly.FrontStore())
+    _factor(system)
     assert len(made) == len(assembly._class_tree(assembly._dissection(2 ** (level - 1))))
     assert 0 < max(made)
 
@@ -565,8 +618,7 @@ def test_refined_residual_matches_long_double_residual(family, k, level):
     system = _system(family, k, level, exact_solution().f)[3]
     result = solve(system)
     b = system.rhs.astype(system.element_matrix.dtype)
-    r = b - assembly._apply(system.element_slots, system.element_matrix,
-                            result.coeffs[system.free_dofs])
+    r = b - assembly._apply(system, result.coeffs[system.free_dofs])
     rel = float(np.linalg.norm(r)) / float(np.linalg.norm(b)) if b.any() else 0.0
     assert result.residual == pytest.approx(rel, rel=1e-3)
 
@@ -574,8 +626,7 @@ def test_refined_residual_matches_long_double_residual(family, k, level):
 def _refine_at_every_step(system, correction):
     """The refinement before the pair x0 + e: it forms the long-double
     residual b - A x again after every step."""
-    slots, block = system.element_slots, system.element_matrix
-    b = system.rhs.astype(block.dtype)
+    b = system.rhs.astype(system.element_matrix.dtype)
     x, r, last = np.zeros(system.n_free), b, np.inf
     while True:
         d, _ = correction(r.astype(float))
@@ -583,7 +634,7 @@ def _refine_at_every_step(system, correction):
         if not step <= 0.5 * last:
             return x
         x += d
-        r = b - assembly._apply(slots, block, x)
+        r = b - assembly._apply(system, x)
         last = step
         if step <= np.finfo(float).eps * np.max(np.abs(x)):
             return x
@@ -592,7 +643,7 @@ def _refine_at_every_step(system, correction):
 @pytest.mark.parametrize("family,k,level", [(Family.ENRICHED_P, 4, 5), (Family.BFS_Q, 8, 4)])
 def test_refined_pair_matches_refinement_at_every_step(family, k, level):
     system = _system(family, k, level, exact_solution().f)[3]
-    correction, _, _ = assembly._direct_solver(system, assembly.FrontStore())
+    correction, _, _ = _direct_solver(system)
     ref = _refine_at_every_step(system, correction)
     x = solve(system).coeffs[system.free_dofs]
     assert np.max(np.abs(x - ref)) <= 64 * np.finfo(float).eps * np.max(np.abs(ref))
@@ -611,7 +662,7 @@ def test_refinement_stops_on_predicted_correction(family, k, level, pairs, ulps)
     system = _system(family, k, level, exact_solution().f)[3]
     result = solve(system)
     assert result.iterations == pairs
-    correction, _, _ = assembly._direct_solver(system, assembly.FrontStore())
+    correction, _, _ = _direct_solver(system)
     ref = _refine_at_every_step(system, correction)
     x = result.coeffs[system.free_dofs]
     assert np.max(np.abs(x - ref)) <= ulps * np.finfo(float).eps * np.max(np.abs(ref))
@@ -628,8 +679,8 @@ def test_zero_right_hand_side_ends_refinement_after_one_step(method):
 
 def _product(system):
     """The float64 operator that ``solve`` hands to CG and the refinement."""
-    return assembly._element_sum([system.element_slots], [system.element_matrix.astype(float)],
-                                 system.n_free)
+    return assembly._scaled(system.scale, assembly._element_sum(
+        [system.element_slots], [system.element_matrix.astype(float)], system.n_free))
 
 
 def test_refine_returns_zero_after_non_finite_first_correction():
@@ -644,7 +695,7 @@ def test_refine_re_anchors_while_the_correction_is_large(monkeypatch):
     # a correction that solves only 0.6 of each residual: e grows past
     # 2^-11 max |x0| on every early step, so r0 is formed again each time
     system = _system(Family.ENRICHED_P, 4, 3, exact_solution().f)[3]
-    correction, _, _ = assembly._direct_solver(system, assembly.FrontStore())
+    correction, _, _ = _direct_solver(system)
     calls, apply = [], assembly._apply
     monkeypatch.setattr(assembly, "_apply", lambda *a: calls.append(a) or apply(*a))
     x, count, rel = assembly._refine(system, lambda r: (0.6 * correction(r)[0], 1),
@@ -701,7 +752,8 @@ def test_polynomial_patch_test(family, k, rng):
 
 def test_single_unknown_system():
     system = LinearSystem(rhs=np.array([2.0]), free_dofs=np.array([0]), total=1,
-                          element_slots=np.array([[0]]), element_matrix=np.array([[4.0]]))
+                          element_slots=np.array([[0]]), element_matrix=np.array([[4.0]]),
+                          scale=np.ones(1))
     result = solve(system, method="cg")
     assert result.coeffs[0] == pytest.approx(0.5, rel=1e-13)
 
@@ -736,7 +788,7 @@ def test_direct_solution_independent_of_ordering():
         rhs=system.rhs[perm], free_dofs=system.free_dofs[perm], total=system.total,
         element_slots=np.where(system.element_slots >= 0,
                                slot[system.element_slots], -1),
-        element_matrix=system.element_matrix)
+        element_matrix=system.element_matrix, scale=system.scale[perm])
     a = solve(system, method="direct").coeffs
     b = solve(permuted, method="direct").coeffs
     assert np.max(np.abs(a - b)) <= 1e-10 * np.max(np.abs(a))
@@ -770,7 +822,7 @@ def test_direct_rejects_indefinite_system(matrix):
     n = len(matrix)
     system = LinearSystem(rhs=np.ones(n), free_dofs=np.arange(n), total=n,
                           element_slots=np.arange(n)[None, :],
-                          element_matrix=np.array(matrix))
+                          element_matrix=np.array(matrix), scale=np.ones(n))
     for method in ("direct", "cg"):
         with pytest.raises(NotSPD):
             solve(system, method=method)
@@ -783,13 +835,14 @@ def test_cg_rejects_indefinite_block_past_64_rows():
     n, c = 70, -0.02
     matrix = (1.0 - c) * np.eye(n) + c
     system = LinearSystem(rhs=np.ones(n), free_dofs=np.arange(n), total=n,
-                          element_slots=np.arange(n)[None, :], element_matrix=matrix)
+                          element_slots=np.arange(n)[None, :], element_matrix=matrix,
+                          scale=np.ones(n))
     with pytest.raises(NotSPD):
         solve(system, method="cg")
 
 
 def test_direct_rejects_indefinite_element_block():
-    # the element block minus half its diagonal is indefinite; p-enriched k=4
+    # A_1 minus half its diagonal is indefinite; p-enriched k=4
     # eliminates nothing in single elements, so a larger box's front fails
     _, _, _, system = _system(Family.ENRICHED_P, 4, 3, exact_solution().f)
     block = system.element_matrix - 0.5 * np.diag(np.diag(system.element_matrix))

@@ -96,6 +96,14 @@ def test_clamped_flags_off_powers_of_two(family, n):
                          + eb.interior_dof_count * n * n)
 
 
+@pytest.mark.parametrize("n", [2.5, 4.0, True, "4", 0])
+def test_mesh_rejects_non_integer_size(n):
+    # RectMesh(2.5) took h = 0.4 and raised a bare TypeError in build_dof_map
+    with pytest.raises(ValueError, match="must be a positive integer"):
+        RectMesh(n)
+    assert RectMesh(np.int64(4)).h == 0.25
+
+
 def test_clamped_level1_all_constrained():
     mesh = build_mesh(1)
     dm = clamped_flags(build_dof_map(mesh, element_basis(Family.ENRICHED_P, 4)))

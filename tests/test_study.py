@@ -314,6 +314,17 @@ def test_json_report_fields():
     assert "levels" in payload["meta"]
 
 
+def test_json_report_round_trips_numpy_integer_config():
+    # numpy integers pass the input checks; json.dumps raised a TypeError on
+    # the np.int64 fields until the config stored them as ints
+    import json
+
+    config = StudyConfig(family="p-enriched", k=np.int64(4), max_level=np.int64(2))
+    payload = json.loads(report_json(run_study(config)))
+    assert StudyConfig(**payload["config"]) == config
+    assert type(config.k) is type(config.max_level) is int
+
+
 def test_format_table_shape():
     rep = cached_study(Family.ENRICHED_P, 4, 4)
     lines = format_table(rep).splitlines()
@@ -336,6 +347,9 @@ def test_config_validation():
     (4.5, 2, "degree must be between 4 and 8"),
     (4.0, 2, "degree must be between 4 and 8"),
     (4, 2.5, "refinement level must be in 1..16, got 2.5"),
+    # a bool is an int to Python, and the JSON report read "max_level": true
+    (True, 2, "degree must be between 4 and 8"),
+    (4, True, "refinement level must be in 1..16, got True"),
 ])
 def test_study_and_verify_share_input_checks(k, level, message):
     # a ValueError before any work, not a FAIL row or a TypeError
