@@ -141,16 +141,36 @@ def reference_table(basis: ElementBasis) -> ReferenceTable:
     return table
 
 
-def on_quadrature_grid(fn: Callable, mesh: RectMesh, rule: QuadratureRule) -> FloatArray:
-    """``fn`` at ``rule``'s points on every element: (n_elements, npts).
+#: quadrature points in one block of element rows (at least one row): a
+#: float64 grid over a block is at most 0.25 MB on every level
+BLOCK_POINTS = 2**15
 
-    ``fn`` gets broadcastable (j, i, a, b) coordinates of element e = j n + i
-    and point p = a m + b: x varies with (i, a) and y with (j, b) only, so a
-    separable factor is evaluated n m times, not n^2 m^2."""
+
+def element_row_blocks(mesh: RectMesh, rule: QuadratureRule) -> list[tuple[slice, slice]]:
+    """The element grid in blocks of whole element rows, each of at most
+    :data:`BLOCK_POINTS` of ``rule``'s points unless one row has more: per
+    block, its element rows and its elements e = j n + i, as slices."""
+    n = mesh.n
+    rows = max(1, BLOCK_POINTS // (n * len(rule.weights)))
+    return [(slice(j, min(j + rows, n)), slice(j * n, min(j + rows, n) * n))
+            for j in range(0, n, rows)]
+
+
+def on_quadrature_grid(fn: Callable, mesh: RectMesh, rule: QuadratureRule,
+                       rows: slice = slice(None)) -> FloatArray:
+    """``fn`` at ``rule``'s points on every element of the element rows
+    ``rows`` (all by default): (elements, npts), by element e = j n + i.
+
+    ``fn`` gets broadcastable (j, i, a, b) coordinates of element e and point
+    p = a m + b: x varies with (i, a) and y with (j, b) only, so a separable
+    factor is evaluated n m times per coordinate, not n^2 m^2.  A block of
+    :func:`element_row_blocks` gets the same values as those rows of the
+    whole grid."""
     n, m = mesh.n, rule.points_per_axis
     g = np.arange(n)[:, None] * mesh.h + mesh.h * rule.nodes
-    vals = np.asarray(fn(g[None, :, :, None], g[:, None, None, :]), dtype=float)
-    return np.broadcast_to(vals, (n, n, m, m)).reshape(n * n, m * m)
+    y = g[rows]
+    vals = np.asarray(fn(g[None, :, :, None], y[:, None, None, :]), dtype=float)
+    return np.broadcast_to(vals, (len(y), n, m, m)).reshape(len(y) * n, m * m)
 
 
 def assemble(
@@ -162,8 +182,10 @@ def assemble(
     """Assemble the clamped Galerkin system for lap^2 u = f.
 
     ``f`` must accept broadcastable arrays (:func:`on_quadrature_grid`).
-    Constrained rows and columns are eliminated (homogeneous data, so no
-    right-hand-side correction).  The operator is the basis's reference
+    The (element, local DOF) load is integrated one block of
+    :func:`element_row_blocks` at a time, so ``f`` is never held on the whole
+    grid.  Constrained rows and columns are eliminated (homogeneous data, so
+    no right-hand-side correction).  The operator is the basis's reference
     stiffness A_1 itself, scaled by s = h^(o - 1) on each free slot.
     """
     if dof_map.local_to_global.shape[1] != basis.dim:
@@ -171,22 +193,27 @@ def assemble(
             f"map has {dof_map.local_to_global.shape[1]} local slots, "
             f"element has {basis.dim}")
     table = reference_table(basis)
-    h = mesh.h
+    q, h = table.quad, mesh.h
     scale = h ** basis.deriv_orders.astype(float)
 
-    free_index = -np.ones(dof_map.total, dtype=np.int64)
     free_dofs = np.flatnonzero(~dof_map.is_boundary)
-    free_index[free_dofs] = np.arange(len(free_dofs))
+    n = len(free_dofs)
+    free_index = -np.ones(dof_map.total, dtype=np.int64)
+    free_index[free_dofs] = np.arange(n)
     fslots = free_index[dof_map.local_to_global]
-    keep = fslots >= 0
+    del free_index
 
-    fq = on_quadrature_grid(f, mesh, table.quad)
-    load = scale * h**2 * ((fq * table.quad.weights) @ table.tab[(0, 0)])
-    rhs = np.bincount(fslots[keep], weights=load[keep], minlength=len(free_dofs))
-    s = np.empty(len(free_dofs))  # a free slot has one derivative order
-    s[fslots[keep]] = np.broadcast_to(scale / h, fslots.shape)[keep]
-    return LinearSystem(rhs=rhs, free_dofs=free_dofs, total=dof_map.total,
-                        element_slots=fslots, element_matrix=table.stiff, scale=s)
+    load = np.empty(fslots.shape)
+    for rows, elems in element_row_blocks(mesh, q):
+        np.matmul(on_quadrature_grid(f, mesh, q, rows) * q.weights, table.tab[(0, 0)],
+                  out=load[elems])
+    load *= scale * h**2
+    # slot -1 of a constrained DOF adds to, and sets, a padded last entry
+    rhs = np.bincount((fslots % (n + 1)).ravel(), weights=load.ravel(), minlength=n + 1)
+    s = np.empty(n + 1)
+    s[fslots] = scale / h  # a free slot has one derivative order
+    return LinearSystem(rhs=rhs[:n], free_dofs=free_dofs, total=dof_map.total,
+                        element_slots=fslots, element_matrix=table.stiff, scale=s[:n])
 
 
 @dataclass
@@ -303,32 +330,41 @@ class FrontStore:
 
 
 def _inverse_cholesky(a: FloatArray) -> FloatArray:
-    """L^-1 for a = L L^T, by halves: past 64 rows LAPACK's inverse is slower
-    than the matrix products of the Schur complement."""
+    """Overwrite a = L L^T with L^-1 and return it, by halves: past 64 rows
+    LAPACK's inverse is slower than the matrix products of the Schur
+    complement.  Each half's Schur complement and inverse are formed in its
+    own diagonal block of ``a`` and the upper block becomes zero; every
+    block is read before it is overwritten, and the lower one not at all, so
+    the bits equal those of an out-of-place recursion."""
     m = len(a)
     if m <= 64:
         try:
-            return np.linalg.inv(np.linalg.cholesky(a))
+            a[...] = np.linalg.inv(np.linalg.cholesky(a))
         except np.linalg.LinAlgError as err:
             raise NotSPD(f"nonpositive pivot ({err})") from err
+        return a
     h = m // 2
     top = _inverse_cholesky(a[:h, :h])
     w = top @ a[:h, h:]
-    bottom = _inverse_cholesky(a[h:, h:] - w.T @ w)
-    out = np.zeros_like(a)
-    out[:h, :h], out[h:, h:], out[h:, :h] = top, bottom, -bottom @ (w.T @ top)
-    return out
+    a[h:, h:] -= w.T @ w
+    bottom = _inverse_cholesky(a[h:, h:])
+    a[h:, :h] = -bottom @ (w.T @ top)
+    a[:h, h:] = 0.0
+    return a
 
 
 def _inverse_factor(a: FloatArray) -> FloatArray:
     """L^-1 for a = L L^T, from the factor of a equilibrated to unit diagonal,
-    whose entries are at most 1; a nonpositive diagonal entry or pivot
-    raises :class:`NotSPD`."""
+    whose entries are at most 1, formed in the equilibrated copy; ``a`` is
+    left as it is.  A nonpositive diagonal entry or pivot raises
+    :class:`NotSPD`."""
     d = np.diagonal(a)
     if not np.all(d > 0.0):
         raise NotSPD("nonpositive diagonal entry")
     d = 1.0 / np.sqrt(d)
-    return _inverse_cholesky(a * d[:, None] * d) * d
+    inv_l = _inverse_cholesky(a * d[:, None] * d)
+    inv_l *= d
+    return inv_l
 
 
 def _front(slots: np.ndarray, block: FloatArray, touching: np.ndarray, origin: int, n: int,
@@ -683,12 +719,22 @@ def evaluate_on_elements(
 
     ref_points: (npts, 2) coordinates on [0,1]^2, or None for the cached
     tabulation on :func:`reference_table`'s rule.  Returns (n_elements, npts),
-    or one row per entry of ``elements``.  ``coeffs`` must hold one value
-    per global DOF of ``dof_map``.
+    or one row per element that ``elements`` selects: an index array, or a
+    slice such as a block of :func:`element_row_blocks`, whose rows of
+    ``local_to_global`` are read as a view.  On the rule, all elements are
+    evaluated by those blocks, so that every row has the bits of its block's
+    (a BLAS product can round a row by the number of rows).  ``coeffs`` must
+    hold one value per global DOF of ``dof_map``.
     """
     coeffs = np.asarray(coeffs, dtype=float)
     if coeffs.shape != (dof_map.total,):
         raise ValueError(f"{coeffs.size} coefficients for {dof_map.total} global DOFs")
+    if ref_points is None and elements is None:
+        table = reference_table(basis)
+        out = np.empty((mesh.n_elements, len(table.quad.weights)))
+        for _, elems in element_row_blocks(mesh, table.quad):
+            out[elems] = evaluate_on_elements(mesh, dof_map, basis, coeffs, None, deriv, elems)
+        return out
     h = mesh.h
     l2g = dof_map.local_to_global
     if elements is not None:

@@ -99,8 +99,9 @@ MAX_LEVEL = 16
 
 
 def build_mesh(level: int) -> RectMesh:
-    """Mesh of refinement level 1..MAX_LEVEL: n = 2^(level-1) subdivisions per side."""
-    if not 1 <= level <= MAX_LEVEL:
+    """Mesh of refinement level 1..MAX_LEVEL, an integer (:func:`is_integer`):
+    n = 2^(level-1) subdivisions per side."""
+    if not (is_integer(level) and 1 <= level <= MAX_LEVEL):
         raise ValueError(f"refinement level must be in 1..{MAX_LEVEL}, got {level}")
     return RectMesh(n=2 ** (level - 1))
 

@@ -96,23 +96,28 @@ def error_norms(
     """(L2, H2-seminorm) errors of the FE function against the exact solution,
     on the rule of :func:`assembly.reference_table`.  The H2 seminorm weights
     the mixed second derivative twice: |e|_2^2 = int e_xx^2 + 2 e_xy^2 + e_yy^2.
-    Each squared error grid is formed in place in the grid of FE values.
+    The grids run one block of :func:`assembly.element_row_blocks` at a
+    time, so no grid covers the whole mesh: each squared error grid of a
+    block is formed in place in its grid of FE values, and each element's
+    L2 and H2 integrals are written into one vector per norm, summed once.
     """
     q = assembly.reference_table(basis).quad
     h = mesh.h
+    l2, h2 = np.empty(mesh.n_elements), np.empty(mesh.n_elements)
 
-    def squared_error(exact_fn, deriv):
-        e = assembly.evaluate_on_elements(mesh, dof_map, basis, coeffs, None, deriv)
-        np.subtract(assembly.on_quadrature_grid(exact_fn, mesh, q), e, out=e)
+    def squared_error(exact_fn, deriv, rows, elems):
+        e = assembly.evaluate_on_elements(mesh, dof_map, basis, coeffs, None, deriv, elems)
+        np.subtract(assembly.on_quadrature_grid(exact_fn, mesh, q, rows), e, out=e)
         return np.square(e, out=e)
 
-    l2 = h**2 * float(np.sum(squared_error(exact.u, (0, 0)) @ q.weights))
-    # one error grid at a time, summed as (e_xx^2 + 2 e_xy^2) + e_yy^2
-    integrand = squared_error(exact.uxx, (2, 0))
-    integrand += 2.0 * squared_error(exact.uxy, (1, 1))
-    integrand += squared_error(exact.uyy, (0, 2))
-    h2 = h**2 * float(np.sum(integrand @ q.weights))
-    return math.sqrt(l2), math.sqrt(h2)
+    for rows, elems in assembly.element_row_blocks(mesh, q):
+        np.matmul(squared_error(exact.u, (0, 0), rows, elems), q.weights, out=l2[elems])
+        # one error grid at a time, summed as (e_xx^2 + 2 e_xy^2) + e_yy^2
+        integrand = squared_error(exact.uxx, (2, 0), rows, elems)
+        integrand += 2.0 * squared_error(exact.uxy, (1, 1), rows, elems)
+        integrand += squared_error(exact.uyy, (0, 2), rows, elems)
+        np.matmul(integrand, q.weights, out=h2[elems])
+    return math.sqrt(h**2 * float(np.sum(l2))), math.sqrt(h**2 * float(np.sum(h2)))
 
 
 # ---------------------------------------------------------------------------

@@ -828,6 +828,34 @@ def test_direct_rejects_indefinite_system(matrix):
             solve(system, method=method)
 
 
+def _out_of_place_inverse_cholesky(a):
+    # the recursion that built L^-1 in a new zeroed array, kept as reference
+    m = len(a)
+    if m <= 64:
+        return np.linalg.inv(np.linalg.cholesky(a))
+    h = m // 2
+    top = _out_of_place_inverse_cholesky(a[:h, :h])
+    w = top @ a[:h, h:]
+    bottom = _out_of_place_inverse_cholesky(a[h:, h:] - w.T @ w)
+    out = np.zeros_like(a)
+    out[:h, :h], out[h:, h:], out[h:, :h] = top, bottom, -bottom @ (w.T @ top)
+    return out
+
+
+@pytest.mark.parametrize("m", [36, 64, 65, 108, 220])
+def test_inverse_factor_in_place_matches_out_of_place(rng, m):
+    # random SPD blocks on both sides of the split at 64 rows and past two
+    # splits; the argument is left as it is and the result owns its memory
+    b = rng.standard_normal((m, m))
+    a = b @ b.T + np.diag(rng.uniform(0.1, 3.0, m))
+    before = a.copy()
+    d = 1.0 / np.sqrt(np.diagonal(before))
+    old = _out_of_place_inverse_cholesky(before * d[:, None] * d) * d
+    new = assembly._inverse_factor(a)
+    assert np.array_equal(a, before)
+    assert np.array_equal(new, old) and new.base is None
+
+
 def test_cg_rejects_indefinite_block_past_64_rows():
     # I + c (J - I) of 70 rows: positive diagonal, its leading 35 rows
     # positive definite (1 + 34 c > 0), the whole indefinite (1 + 69 c < 0),

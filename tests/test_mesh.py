@@ -96,6 +96,18 @@ def test_clamped_flags_off_powers_of_two(family, n):
                          + eb.interior_dof_count * n * n)
 
 
+@pytest.mark.parametrize("level", [True, 2.5, 3.0, "3"])
+def test_build_mesh_rejects_non_integer_level(level):
+    # build_mesh(True) built level 1; 2.5 and 3.0 failed in RectMesh with
+    # the message of the mesh size
+    with pytest.raises(ValueError, match=f"refinement level must be in 1..16, got {level}"):
+        build_mesh(level)
+
+
+def test_build_mesh_accepts_numpy_integer_level():
+    assert build_mesh(np.int64(3)) == build_mesh(3) == RectMesh(4)
+
+
 @pytest.mark.parametrize("n", [2.5, 4.0, True, "4", 0])
 def test_mesh_rejects_non_integer_size(n):
     # RectMesh(2.5) took h = 0.4 and raised a bare TypeError in build_dof_map
