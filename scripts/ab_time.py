@@ -1,22 +1,23 @@
-"""Interleaved A/B timing of two checkouts' studies in one process.
+"""Interleaved A/B timing of two checkouts' studies and verify runs in one process.
 
     python scripts/ab_time.py <checkout A> <checkout B> [--reps 40] [--workload study-deep]
                               [--solver cg]
 
 Imports ``src/c1rect`` of each checkout under its own package name
 (``c1rect_a``, ``c1rect_b``), so both sides share one interpreter, one BLAS
-and the same machine state, and alternates them on the study cases of the
-benchmark's workloads (``perfbench/run.py``), and on ``deep-l8``, p-enriched
-k=4 to level 8, a depth that the benchmark does not reach: A runs first on
+and the same machine state, and alternates them on the cases of the
+benchmark's workloads (``perfbench/run.py``): the studies of
+``study-deep`` and ``study-high-degree`` and the ``verify`` runs of
+``verify-k8``, both families at k=8 level 6; and on ``deep-l8``, p-enriched
+k=4 to level 8, a depth that the benchmark does not reach.  A runs first on
 even repetitions and B on odd ones.  One repetition of a side times
-``run_study`` over all cases of the workload, with ``--solver`` (``direct``
-by default, as the benchmark runs), after one untimed repetition that
-builds the element bases.  Every repetition starts with an empty
-``assembly.reference_table`` cache and so pays for the tables: each CLI
-process builds them once per basis, and warm repetitions would hide their
-cost.  The script prints each side's median and
-quartiles and the median of the per-repetition ratio B / A with its
-quartiles.  After the timed repetitions each side runs the workload once
+``run_study`` or ``verify`` over all cases of the workload, studies with
+``--solver`` (``direct`` by default, as the benchmark runs), after one
+untimed repetition that builds the element bases.  Every repetition starts
+with an empty ``assembly.reference_table`` cache and so pays for the
+tables: each CLI process builds them once per basis, and warm repetitions
+would hide their cost.  The script prints each side's median and quartiles
+and the median of the per-repetition ratio B / A with its quartiles.  After the timed repetitions each side runs the workload once
 more, untimed, under ``tracemalloc``, and the script prints that run's
 traced peak (numpy reports its array buffers to ``tracemalloc``), so a
 memory claim gets the same in-process A/B as a time claim.
@@ -39,10 +40,12 @@ os.environ.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS
 
 import numpy as np
 
+#: per workload its cases as (command, family, k, levels or level)
 WORKLOADS = {
-    "study-deep": [("p-enriched", 4, 6), ("p-enriched", 5, 6)],
-    "study-high-degree": [(f, k, 4) for f in ("p-enriched", "q-bfs") for k in (6, 7, 8)],
-    "deep-l8": [("p-enriched", 4, 8)],
+    "study-deep": [("study", "p-enriched", 4, 6), ("study", "p-enriched", 5, 6)],
+    "study-high-degree": [("study", f, k, 4) for f in ("p-enriched", "q-bfs") for k in (6, 7, 8)],
+    "verify-k8": [("verify", f, 8, 6) for f in ("p-enriched", "q-bfs")],
+    "deep-l8": [("study", "p-enriched", 4, 8)],
 }
 
 
@@ -60,9 +63,12 @@ def load(name: str, checkout: str):
 def run(c1rect, cases, solver: str) -> float:
     c1rect.assembly.reference_table.cache_clear()
     start = time.perf_counter()
-    for family, k, levels in cases:
-        c1rect.run_study(c1rect.StudyConfig(family=c1rect.Family(family), k=k,
-                                            max_level=levels, solver=solver))
+    for command, family, k, level in cases:
+        if command == "verify":
+            c1rect.verify(c1rect.Family(family), k, level)
+        else:
+            c1rect.run_study(c1rect.StudyConfig(family=c1rect.Family(family), k=k,
+                                                max_level=level, solver=solver))
     return time.perf_counter() - start
 
 
@@ -100,7 +106,8 @@ def main() -> None:
         for rep in range(args.reps):
             for i in ((0, 1) if rep % 2 == 0 else (1, 0)):
                 times[rep, i] = run(sides[i], cases, args.solver)
-        print(f"{workload}: {args.reps} repetitions of {len(cases)} {args.solver} studies")
+        print(f"{workload}: {args.reps} repetitions of {len(cases)} cases "
+              f"({args.solver} solver for studies)")
         print(f"  A {quartiles(times[:, 0])} s")
         print(f"  B {quartiles(times[:, 1])} s")
         print(f"  B / A {quartiles(times[:, 1] / times[:, 0])}, "

@@ -28,7 +28,7 @@ from typing import Callable
 import numpy as np
 
 from .elements import ElementBasis
-from .mesh import DofMap, RectMesh
+from .mesh import DofMap, RectMesh, is_integer
 from .poly2d import FloatArray
 
 
@@ -146,12 +146,13 @@ def reference_table(basis: ElementBasis) -> ReferenceTable:
 BLOCK_POINTS = 2**15
 
 
-def element_row_blocks(mesh: RectMesh, rule: QuadratureRule) -> list[tuple[slice, slice]]:
+def element_row_blocks(mesh: RectMesh, points: int) -> list[tuple[slice, slice]]:
     """The element grid in blocks of whole element rows, each of at most
-    :data:`BLOCK_POINTS` of ``rule``'s points unless one row has more: per
-    block, its element rows and its elements e = j n + i, as slices."""
+    :data:`BLOCK_POINTS` values at ``points`` per element unless one row has
+    more: per block, its element rows and its elements e = j n + i, as
+    slices."""
     n = mesh.n
-    rows = max(1, BLOCK_POINTS // (n * len(rule.weights)))
+    rows = max(1, BLOCK_POINTS // (n * points))
     return [(slice(j, min(j + rows, n)), slice(j * n, min(j + rows, n) * n))
             for j in range(0, n, rows)]
 
@@ -204,7 +205,7 @@ def assemble(
     del free_index
 
     load = np.empty(fslots.shape)
-    for rows, elems in element_row_blocks(mesh, q):
+    for rows, elems in element_row_blocks(mesh, len(q.weights)):
         np.matmul(on_quadrature_grid(f, mesh, q, rows) * q.weights, table.tab[(0, 0)],
                   out=load[elems])
     load *= scale * h**2
@@ -705,45 +706,34 @@ def solve(system: LinearSystem, rel_tol: float = 1e-13,
     return SolveResult(coeffs, iterations, rel, method, fill, made)
 
 
-def evaluate_on_elements(
-    mesh: RectMesh,
-    dof_map: DofMap,
-    basis: ElementBasis,
-    coeffs: FloatArray,
-    ref_points: FloatArray | None,
-    deriv: tuple[int, int] = (0, 0),
-    elements: np.ndarray | None = None,
-) -> FloatArray:
+def evaluate_on_elements(mesh: RectMesh, dof_map: DofMap, basis: ElementBasis, coeffs: FloatArray,
+                         ref_points: FloatArray | None, deriv: tuple[int, int] = (0, 0),
+                         elements: slice = slice(None)) -> FloatArray:
     """(deriv_x, deriv_y) derivative of the finite element function given by
     global physical DOF values, at reference points shared by every element.
 
     ref_points: (npts, 2) coordinates on [0,1]^2, or None for the cached
-    tabulation on :func:`reference_table`'s rule.  Returns (n_elements, npts),
-    or one row per element that ``elements`` selects: an index array, or a
-    slice such as a block of :func:`element_row_blocks`, whose rows of
-    ``local_to_global`` are read as a view.  On the rule, all elements are
-    evaluated by those blocks, so that every row has the bits of its block's
-    (a BLAS product can round a row by the number of rows).  ``coeffs`` must
-    hold one value per global DOF of ``dof_map``.
+    tabulation on :func:`reference_table`'s rule.  Returns one row per
+    element of the slice ``elements`` (all by default), filled by the blocks
+    of :func:`element_row_blocks` for max(npts, dim) points, counted from the
+    slice's first element.  On the rule npts > dim, so a block of the rule
+    is one block here and keeps its bits (a BLAS product can round a row by
+    the number of rows).  ``coeffs`` holds one value per global DOF.
     """
     coeffs = np.asarray(coeffs, dtype=float)
     if coeffs.shape != (dof_map.total,):
         raise ValueError(f"{coeffs.size} coefficients for {dof_map.total} global DOFs")
-    if ref_points is None and elements is None:
-        table = reference_table(basis)
-        out = np.empty((mesh.n_elements, len(table.quad.weights)))
-        for _, elems in element_row_blocks(mesh, table.quad):
-            out[elems] = evaluate_on_elements(mesh, dof_map, basis, coeffs, None, deriv, elems)
-        return out
-    h = mesh.h
-    l2g = dof_map.local_to_global
-    if elements is not None:
-        l2g = l2g[elements]
     # physical nodal n = h^o_n * reference nodal n; each derivative divides by h
-    scale = h ** (basis.deriv_orders - deriv[0] - deriv[1]).astype(float)
+    scale = mesh.h ** (basis.deriv_orders - deriv[0] - deriv[1]).astype(float)
     vals = (reference_table(basis).tab[deriv] if ref_points is None
             else basis.tabulate(ref_points, deriv)) * scale
-    return coeffs[l2g] @ vals.T
+    l2g = dof_map.local_to_global[elements]
+    out = np.empty((len(l2g), len(vals)))
+    for _, block in element_row_blocks(mesh, max(len(vals), basis.dim)):
+        if block.start >= len(out):
+            break
+        np.matmul(coeffs[l2g[block]], vals.T, out=out[block])
+    return out
 
 
 def evaluate_solution(
@@ -762,9 +752,9 @@ def evaluate_solution(
     Points on interior element boundaries resolve to the right/top element
     unless an explicit element id is supplied.
     """
-    if not (deriv[0] <= 2 and deriv[1] <= 2):
+    if not all(is_integer(d) and 0 <= d <= 2 for d in deriv):
         raise ValueError("derivative orders above 2 are not tabulated")
-    if element is not None and not 0 <= element < mesh.n_elements:
+    if element is not None and not (is_integer(element) and 0 <= element < mesh.n_elements):
         raise ValueError(f"element {element} outside 0..{mesh.n_elements - 1}")
     try:
         e = mesh.locate(x, y) if element is None else element
@@ -772,5 +762,5 @@ def evaluate_solution(
         raise OutOfDomain(str(err)) from err
     x0, y0 = mesh.element_corner(e)
     pts = np.array([[(x - x0) / mesh.h, (y - y0) / mesh.h]])
-    vals = evaluate_on_elements(mesh, dof_map, basis, coeffs, pts, deriv, elements=[e])
+    vals = evaluate_on_elements(mesh, dof_map, basis, coeffs, pts, deriv, slice(e, e + 1))
     return float(vals[0, 0])

@@ -8,12 +8,14 @@ entity id and then by slot, the DOF's place within its entity in the local
 layout (``elements`` module docstring).  Shared entities use the same slot
 order from both adjacent elements because that layout enumerates edge DOFs by
 increasing coordinate, so the map is orientation-free on axis-aligned meshes.
-The h-scaling of DOF values is the business of ``assembly``.
+Numbering and boundary flags form no DOF points.  The h-scaling of DOF values
+is the business of ``assembly``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -110,29 +112,44 @@ def build_mesh(level: int) -> RectMesh:
 class DofMap:
     """Global DOF numbering for one (mesh, element) pair.
 
-    points/kind_code record each global DOF's physical functional (kind_code
-    indexes ``elements.VERTEX_KINDS``) so nodal interpolation never needs to
-    revisit elements.
+    ``points`` and ``kind_code`` (an index into ``elements.VERTEX_KINDS``)
+    give each global DOF's physical functional for nodal interpolation; no
+    solve reads them, so each is formed on first read and kept.
     """
 
     total: int
     local_to_global: np.ndarray
     is_boundary: np.ndarray
-    kind_code: np.ndarray
-    points: FloatArray
+    mesh: RectMesh = field(repr=False)
+    basis: ElementBasis = field(repr=False)
 
     @property
     def n_free(self) -> int:
         return int(self.total - np.count_nonzero(self.is_boundary))
+
+    @cached_property
+    def kind_code(self) -> np.ndarray:
+        kind_code = np.empty(self.total, dtype=np.int8)
+        kind_code[self.local_to_global] = [VERTEX_KINDS.index(d.kind) for d in self.basis.dofs]
+        return kind_code
+
+    @cached_property
+    def points(self) -> FloatArray:
+        """(total, 2): ``(i + p) / n`` per axis for element (i, j) and slot
+        point p, the same bits from every element that touches the DOF."""
+        ref = np.array([dof.point for dof in self.basis.dofs])
+        points = np.empty((self.total, 2))
+        for axis, index in enumerate(self.mesh.element_index(np.arange(self.mesh.n_elements))):
+            xy = index[:, None] + ref[:, axis]  # one (element, slot) buffer at a time
+            points[self.local_to_global, axis] = np.divide(xy, self.mesh.n, out=xy)
+        return points
 
 
 def build_dof_map(mesh: RectMesh, basis: ElementBasis) -> DofMap:
     """Number DOFs globally with vertex/edge sharing; no boundary flags yet.
 
     Each entity's columns of ``local_to_global`` are filled for all elements
-    and slots at once from the closed-form entity ids, then each DOF's kind
-    and point through the whole table.  Every element that touches a global
-    DOF computes its point ``(i + p) / n`` to the same bits.
+    and slots at once from the closed-form entity ids.
     """
     nv = len(basis.vertex_dofs(0))
     ne = basis.edge_dof_count
@@ -158,30 +175,23 @@ def build_dof_map(mesh: RectMesh, basis: ElementBasis) -> DofMap:
     l2g = np.empty((mesh.n_elements, basis.dim), dtype=np.int64)
     for first_dof, local in blocks:
         l2g[:, local.start:local.stop] = first_dof[:, None] + np.arange(len(local))
-    kind_code = np.empty(total, dtype=np.int8)
-    kind_code[l2g] = [VERTEX_KINDS.index(dof.kind) for dof in basis.dofs]
-    ref = np.array([dof.point for dof in basis.dofs])
-    points = np.empty((total, 2))
-    for axis, index in enumerate((i, j)):  # one (element, slot) buffer at a time
-        xy = index[:, None] + ref[:, axis]
-        points[l2g, axis] = np.divide(xy, mesh.n, out=xy)
-    return DofMap(
-        total=total,
-        local_to_global=l2g,
-        is_boundary=np.zeros(total, dtype=bool),
-        kind_code=kind_code,
-        points=points,
-    )
+    return DofMap(total=total, local_to_global=l2g, is_boundary=np.zeros(total, dtype=bool),
+                  mesh=mesh, basis=basis)
 
 
 def clamped_flags(dof_map: DofMap) -> DofMap:
-    """Flag every DOF whose point lies on a side of the unit square.
-
-    u = du/dn = 0 along the boundary forces all four vertex DOFs there
-    (the mixed derivative is the tangential derivative of the normal one)
-    and all values and normal derivatives on boundary edges: exactly the
-    DOFs whose point has x or y in {0, 1} (exact: :func:`build_dof_map`
-    divides by n last).
+    """Flag every DOF whose point has x or y in {0, 1}: u = du/dn = 0 along
+    the boundary forces all four vertex DOFs there (the mixed derivative is
+    the tangential derivative of the normal one) and all values and normal
+    derivatives on boundary edges.  No point is formed: x = (i + p)/n is 0
+    exactly when i = 0 and p = 0, and 1 exactly when i = n - 1 and p = 1,
+    for element column i and the slot's reference coordinate p; y likewise
+    with element row j.
     """
-    xy = dof_map.points
-    return replace(dof_map, is_boundary=((xy == 0.0) | (xy == 1.0)).any(axis=1))
+    ref = np.array([dof.point for dof in dof_map.basis.dofs])
+    by_row = dof_map.local_to_global.reshape(dof_map.mesh.n, dof_map.mesh.n, -1)  # (j, i, slot)
+    flags = np.zeros(dof_map.total, dtype=bool)
+    for axis, lines in enumerate((by_row.transpose(1, 0, 2), by_row)):
+        for line, p in ((lines[0], 0.0), (lines[-1], 1.0)):
+            flags[line[:, ref[:, axis] == p]] = True
+    return replace(dof_map, is_boundary=flags)

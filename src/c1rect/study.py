@@ -110,7 +110,7 @@ def error_norms(
         np.subtract(assembly.on_quadrature_grid(exact_fn, mesh, q, rows), e, out=e)
         return np.square(e, out=e)
 
-    for rows, elems in assembly.element_row_blocks(mesh, q):
+    for rows, elems in assembly.element_row_blocks(mesh, len(q.weights)):
         np.matmul(squared_error(exact.u, (0, 0), rows, elems), q.weights, out=l2[elems])
         # one error grid at a time, summed as (e_xx^2 + 2 e_xy^2) + e_yy^2
         integrand = squared_error(exact.uxx, (2, 0), rows, elems)

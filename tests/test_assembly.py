@@ -915,15 +915,36 @@ def test_evaluate_solution_derivative(rng):
         assert got == pytest.approx(2 * x, abs=1e-10)
 
 
-@pytest.mark.parametrize("element", [-1, 4, 7])
+@pytest.mark.parametrize("element", [-1, 4, 7, True, 2.0, np.float64(1.0), "1"])
 def test_evaluate_solution_rejects_unknown_element(element):
     # a 2x2 mesh has elements 0..3; -1 used to evaluate element 3's
-    # polynomial outside its square
+    # polynomial outside its square, True was read as a boolean mask and
+    # 2.0 as an index, both raising IndexError
     eb = element_basis(Family.ENRICHED_P, 4)
     mesh = build_mesh(2)
     dm = build_dof_map(mesh, eb)
     with pytest.raises(ValueError, match="outside 0..3"):
         evaluate_solution(mesh, dm, eb, np.ones(dm.total), 0.25, 0.25, element=element)
+
+
+@pytest.mark.parametrize("deriv", [(1.5, 0), (0, 3), (-1, 0), (True, 0), (0, 2.0)])
+def test_evaluate_solution_rejects_non_integer_derivative(deriv):
+    # (1.5, 0) raised TypeError and (-1, 0) got past the check
+    eb = element_basis(Family.ENRICHED_P, 4)
+    mesh = build_mesh(2)
+    dm = build_dof_map(mesh, eb)
+    with pytest.raises(ValueError, match="derivative orders above 2 are not tabulated"):
+        evaluate_solution(mesh, dm, eb, np.ones(dm.total), 0.25, 0.25, deriv=deriv)
+
+
+def test_evaluate_solution_accepts_numpy_integers(rng):
+    eb = element_basis(Family.ENRICHED_P, 4)
+    mesh = build_mesh(2)
+    dm = build_dof_map(mesh, eb)
+    coeffs = rng.standard_normal(dm.total)
+    args = (mesh, dm, eb, coeffs, 0.5, 0.25)
+    assert (evaluate_solution(*args, deriv=(np.int64(1), np.int8(1)), element=np.int64(0))
+            == evaluate_solution(*args, deriv=(1, 1), element=0))
 
 
 @pytest.mark.parametrize("extra", [-1, 1])
