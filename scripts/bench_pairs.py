@@ -23,10 +23,13 @@ prints both sides' medians, the change / parent ratio, the parent's
 quartile spread and in how many pairs the change is better.  A gain is
 resolved when at least ten pairs ran, the change is better in at least nine
 tenths of them and its median beats the parent's by more than the parent's
-quartile spread; ``--summarize`` prints the same table for an existing
-file, skipping a workload without a complete pair.  A run lasts
-``BENCHMARK.json``'s ``run_seconds``, so the whole takes about 2 x pairs x
-workloads x run_seconds.  Not part of the test suite.
+quartile spread.  A metric whose change median is worse than the parent's
+by more than its ``bound``, relative to the parent's median, is marked as
+beyond its bound, and each workload ends with whether the no-regression
+rule holds: no metric beyond its bound.  ``--summarize`` prints the same
+table for an existing file, skipping a workload without a complete pair.  A
+run lasts ``BENCHMARK.json``'s ``run_seconds``, so the whole takes about
+2 x pairs x workloads x run_seconds.  Not part of the test suite.
 """
 
 import argparse
@@ -109,6 +112,7 @@ def summarize(data: dict, metrics: list[dict]) -> None:
             continue
         correct = all(s["correct"] for p in pairs for s in p.values())
         print(f"{workload}: {len(pairs)} pairs, all correct: {correct}")
+        beyond = []
         for metric in metrics:
             name, sign = metric["name"], 1 if metric["better"] == "lower" else -1
             parent = [p["parent"]["metrics"][name]["value"] for p in pairs]
@@ -118,10 +122,16 @@ def summarize(data: dict, metrics: list[dict]) -> None:
             wins = sum(sign * (c - p) < 0 for p, c in zip(parent, change))
             resolved = (len(pairs) >= 10 and wins >= 0.9 * len(pairs)
                         and sign * (med - new) > q3 - q1)
+            bound = metric["bound"]
+            worse = sign * (new - med) > bound * abs(med)
+            if worse:
+                beyond.append(name)
             ratio = f"{new / med:.4f}" if med else "-"
             print(f"  {name:12s} parent {med:.6g}  change {new:.6g}  ratio {ratio}  "
                   f"parent spread {q3 - q1:.3g}  change better in {wins} of {len(pairs)}"
-                  f"{'  (resolved gain)' if resolved else ''}")
+                  f"{'  (resolved gain)' if resolved else ''}"
+                  f"{f'  (worse beyond its bound {bound})' if worse else ''}")
+        print(f"  no-regression rule: {'holds' if not beyond else 'broken by ' + ', '.join(beyond)}")
 
 
 def main() -> None:

@@ -62,10 +62,11 @@ class QuadratureRule:
     nodes: FloatArray    # (m,); point a*m + b is (nodes[a], nodes[b])
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # typed: True is not a cached 1
 def gauss_rule(m: int) -> QuadratureRule:
-    """m-point-per-direction tensor rule, exact on Q_(2m-1); shared, read-only."""
-    if not 1 <= m <= 32:
+    """m-point-per-direction tensor rule, exact on Q_(2m-1), m an integer
+    (:func:`mesh.is_integer`); shared, read-only."""
+    if not (is_integer(m) and 1 <= m <= 32):
         raise ValueError("points per direction must be in 1..32")
     nodes, weights = np.polynomial.legendre.leggauss(m)
     x = 0.5 * (nodes + 1.0)
@@ -252,41 +253,31 @@ def _sides(x0, y0, w, h, n: int):
     return (x0 == 0) + 2 * (x0 + w == n) + 4 * (y0 == 0) + 8 * (y0 + h == n)
 
 
-def _dissection(n: int) -> list[tuple[np.ndarray, ...]]:
+def _halves(w: int, h: int, sides: int) -> list[tuple[tuple[int, int, int], tuple[int, int]]]:
+    """The classes of the two halves of a box of class (w, h, sides), each
+    with its first element's (dx, dy) offset from the box's; none for a
+    single element.  A box is bisected across its longer side, x on a tie,
+    at its middle grid line; each half loses the side that the other keeps."""
+    if h > w:
+        return [((w, h // 2, sides & ~8), (0, 0)), ((w, h - h // 2, sides & ~4), (0, h // 2))]
+    if w > 1:
+        return [((w // 2, h, sides & ~2), (0, 0)), ((w - w // 2, h, sides & ~1), (w // 2, 0))]
+    return []
+
+
+def _dissection(n: int) -> list[tuple[tuple[int, int, int], np.ndarray]]:
     """Nested dissection of the n x n element grid (A. George, SIAM J. Numer.
-    Anal. 10, 1973): each box larger than one element is bisected across its
-    longer side, x on a tie, at its middle grid line.
-
-    Per depth, root first: the boxes as (x0, y0, w, h) columns; the keys of
-    their classes, from a box's width, height and the domain sides it
-    touches, not from n; each class's first box and each box's class, as
-    ``np.unique`` gives them; and the next depth's columns of each box's two
-    halves, -1 for a single element.
-    """
-    box, depths = np.array([[0], [0], [n], [n]]), []
-    while box.shape[1]:
-        x0, y0, w, h = box
-        split = (w > 1) | (h > 1)
-        halves = np.full((2, len(x0)), -1)
-        halves[:, split] = np.arange(2 * np.count_nonzero(split)).reshape(2, -1)
-        depths.append((box, *np.unique((w * 2**28 + h) * 16 + _sides(x0, y0, w, h, n),
-                                       return_index=True, return_inverse=True), halves))
-        x0, y0, w, h = box[:, split]
-        across_y = h > w
-        dx, dy = np.where(across_y, 0, w // 2), np.where(across_y, h // 2, 0)
-        box = np.hstack([[x0, y0, np.where(across_y, w, dx), np.where(across_y, dy, h)],
-                         [x0 + dx, y0 + dy, w - dx, h - dy]])
-    return depths
-
-
-def _class_tree(depths: list[tuple[np.ndarray, ...]]) -> dict[int, tuple[int, ...]]:
-    """Each class of a :func:`_dissection` and its halves' classes."""
-    tree, below = {}, None  # the next depth's class key of each box
-    for _, keys, first, kind, halves in reversed(depths):
-        for key, b in zip(keys.tolist(), first):
-            tree[key] = () if halves[0, b] < 0 else tuple(below[halves[:, b]].tolist())
-        below = keys[kind]
-    return tree
+    Anal. 10, 1973) by :func:`_halves` from the whole grid, class (n, n, 15):
+    each class (width, height, :func:`_sides`) with the first elements
+    y0 n + x0 of its boxes, by area, then class, so after its halves."""
+    boxes, order = {(n, n, 15): [np.zeros(1, dtype=np.int64)]}, []
+    while boxes:  # the largest class left: every box that holds one of its boxes is done
+        key = max(boxes, key=lambda c: (c[0] * c[1], c))
+        origins = np.concatenate(boxes.pop(key))
+        order.append((key, origins))
+        for half, (dx, dy) in _halves(*key):
+            boxes.setdefault(half, []).append(origins + dy * n + dx)
+    return order[::-1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -309,25 +300,25 @@ class FrontStore:
     ``finest`` of one study, solved in that order: each class is factored on
     the first grid that has it, and every finer grid reuses its front.
 
-    A class key holds no grid size, and the fronts factor A_1, the operator
+    A class holds no grid size, and the fronts factor A_1, the operator
     without its level scaling S, so a front does not depend on the level.
-    The first grid makes a plan: the dissections of the grids from it to
-    ``finest``, and for each class the readers of its Schur complement among
-    the classes of all of them, each class counted once.  A factor drops a
-    Schur complement once its last reader is factored, and after a grid the
-    store drops the fronts of the classes that no grid left in the plan has.
-    After ``finest``, or a grid whose factor fails, it holds nothing; another
-    A_1, or any grid but the plan's next, starts a new plan.
+    The first grid makes a plan: the classes of the grids from it to
+    ``finest``, and the readers of each one's Schur complement among all of
+    them, each class counted once.  A factor drops a Schur complement once
+    its last reader is factored, and after a grid the store drops the fronts
+    of the classes that no grid left in the plan has.  After ``finest``, or
+    a grid whose factor fails, it holds nothing; another A_1, or any grid
+    but the plan's next, starts a new plan.
     """
 
     finest: int = 0
     block: FloatArray | None = field(default=None, init=False)  # the float64 A_1
-    #: (n, dissection, class tree) of each grid still to solve, next first
-    plan: list[tuple[int, list, dict]] = field(default_factory=list, init=False)
+    #: (n, classes) of each grid still to solve, next first
+    plan: list[tuple[int, set]] = field(default_factory=list, init=False)
     #: readers of each class's Schur complement not yet factored
     reads: Counter = field(default_factory=Counter, init=False)
-    fronts: dict[int, _Front] = field(default_factory=dict, init=False)
-    schur: dict[int, FloatArray] = field(default_factory=dict, init=False)  # on the interface
+    fronts: dict[tuple, _Front] = field(default_factory=dict, init=False)
+    schur: dict[tuple, FloatArray] = field(default_factory=dict, init=False)  # on the interface
 
 
 def _inverse_cholesky(a: FloatArray) -> FloatArray:
@@ -413,66 +404,58 @@ def _front(slots: np.ndarray, block: FloatArray, touching: np.ndarray, origin: i
 
 
 def _multifrontal_cholesky(system: LinearSystem, block: FloatArray, store: FrontStore,
-                           ) -> tuple[list[list[tuple[_Front, np.ndarray]]], int, int]:
+                           ) -> tuple[list[tuple[_Front, np.ndarray]], int, int]:
     """Multifrontal Cholesky (Duff & Reid, ACM TOMS 9, 1983) of the float64
     A_1 ``block`` summed on the element slots, in :func:`_dissection`'s order.
 
     On the uniform grid every element carries A_1, and the boxes of one
     class see the same slot pattern, so each class's front is factored once,
-    bottom-up, and only if ``store`` holds no front for it; the store's
-    plan (:class:`FrontStore`) sets how long fronts and Schur complements are
-    held.  Returns, per depth from the root, the front of each class that
-    eliminates DOFs (m > 0) and its boxes' (boxes, m + q) front slots,
-    gathered after the depth loop, once the Schur complements read for the
-    last time are freed; the fill 2 nnz(L), the count of L plus U of an LU in
-    this order; and the number of classes factored.
+    after its halves, and only if ``store`` holds no front for it; the
+    store's plan (:class:`FrontStore`) sets how long fronts and Schur
+    complements are held.  Returns, smallest class first, the front of each
+    class that eliminates DOFs (m > 0) and its boxes' (boxes, m + q) front
+    slots, gathered once the Schur complements read for the last time are
+    freed; the fill 2 nnz(L), the count of L plus U of an LU in this order;
+    and the number of classes factored.
     """
     slots = system.element_slots
     n = round(len(slots) ** 0.5)
     if not (np.array_equal(store.block, block) and store.plan and store.plan[0][0] == n):
-        # a new plan: the grids n, 2n, ..., finest and the union of their trees
+        # a new plan: the grids n, 2n, ..., finest and the union of their classes
         grids = [n]
         while 2 * grids[-1] <= store.finest:
             grids.append(2 * grids[-1])
-        store.plan = [(g, d, _class_tree(d)) for g, d in zip(grids, map(_dissection, grids))]
-        union = {key: halves for *_, tree in store.plan for key, halves in tree.items()}
-        store.reads = Counter(half for halves in union.values() for half in halves)
+        store.plan = [(g, {key for key, _ in _dissection(g)}) for g in grids]
+        union = set().union(*(keys for _, keys in store.plan))
+        store.reads = Counter(half for key in union for half, _ in _halves(*key))
         store.block, store.fronts, store.schur = block, {}, {}
-    _, depths, tree = store.plan.pop(0)
+    store.plan.pop(0)
     touching = np.bincount(slots[slots >= 0], minlength=system.n_free)
     factor, made = [], 0
-    below = None  # the next depth's boxes; its boxes are the halves
     try:
-        for box, keys, first, kind, half_cols in reversed(depths):
-            origin = box[1] * n + box[0]
-            level = []
-            for c, (key, b) in enumerate(zip(keys.tolist(), first)):
-                if key not in store.fronts:
-                    halves = None if half_cols[0, b] < 0 else [
-                        (store.fronts[k], store.schur[k], below[:2, j] - box[:2, b])
-                        for j, k in zip(half_cols[:, b], tree[key])]
-                    store.fronts[key], schur = _front(slots, block, touching, origin[b], n, halves)
-                    del halves  # so that the Schur complements can be freed below
-                    made += 1
-                    for k in tree[key]:
-                        store.reads[k] -= 1
-                        if not store.reads[k]:
-                            del store.schur[k]
-                    if store.reads[key]:
-                        store.schur[key] = schur
-                if store.fronts[key].m:
-                    level.append((store.fronts[key], origin[kind == c]))
-            factor.append(level)
-            below = box
+        for key, origins in _dissection(n):
+            if key not in store.fronts:
+                parts = _halves(*key)
+                halves = [(store.fronts[k], store.schur[k], d) for k, d in parts]
+                store.fronts[key], schur = _front(slots, block, touching, origins[0], n,
+                                                  halves or None)
+                del halves  # so that the Schur complements can be freed below
+                made += 1
+                for k, _ in parts:
+                    store.reads[k] -= 1
+                    if not store.reads[k]:
+                        del store.schur[k]
+                if store.reads[key]:
+                    store.schur[key] = schur
+            if store.fronts[key].m:
+                factor.append((store.fronts[key], origins))
     except BaseException:  # a failed grid holds nothing; the next starts a new plan
         store.plan, store.fronts, store.schur = [], {}, {}
         raise
-    store.fronts = {k: f for k, f in store.fronts.items() if any(k in t for *_, t in store.plan)}
+    store.fronts = {k: f for k, f in store.fronts.items() if any(k in c for _, c in store.plan)}
     # the slot tables, gathered once the Schur complements read last are freed
-    factor = [[(f, slots[o[:, None] + f.ref[1] * n + f.ref[0], f.ref[2]]) for f, o in level]
-              for level in factor[::-1]]
-    fill = sum(len(s) * f.m * (f.m + 1 + 2 * (s.shape[1] - f.m))
-               for level in factor for f, s in level)
+    factor = [(f, slots[o[:, None] + f.ref[1] * n + f.ref[0], f.ref[2]]) for f, o in factor]
+    fill = sum(len(s) * f.m * (f.m + 1 + 2 * (s.shape[1] - f.m)) for f, s in factor)
     return factor, fill, made
 
 
@@ -483,25 +466,22 @@ def _direct_solver(system: LinearSystem, block: FloatArray, store: FrontStore,
     of classes factored.  The factor holds no front that eliminates nothing:
     such a front leaves its slots as they are.
 
-    A^-1 r = S^-1 A_1^-1 S^-1 r, both scalings exact.  Forward, deepest boxes
-    first, each class gathers its boxes' eliminated entries, applies M and
-    scatters the update W^T z onto the interfaces; backward, root first, it
-    sets each box's eliminated values v_e to (v_e - v_i W^T) M from its
-    interface values v_i.  Python loops run over depths and classes only.
+    A^-1 r = S^-1 A_1^-1 S^-1 r, both scalings exact.  Forward, in the
+    factor's order, each class gathers its boxes' eliminated entries, applies
+    M and scatters the update W^T z onto the interfaces; backward, in
+    reverse, it sets each box's eliminated values v_e to (v_e - v_i W^T) M
+    from its interface values v_i.  Python loops run over classes only.
     """
     factor, fill, fronts = _multifrontal_cholesky(system, block, store)
 
     def solve_ll(r: FloatArray) -> tuple[FloatArray, int]:
         v = r / system.scale
-        for level in reversed(factor):
-            for f, s in level:
-                z = v[s[:, :f.m]] @ f.inv_l.T
-                v[s[:, :f.m]] = z
-                v -= np.bincount(s[:, f.m:].ravel(), weights=(z @ f.w).ravel(),
-                                 minlength=len(v))
-        for level in factor:
-            for f, s in level:
-                v[s[:, :f.m]] = (v[s[:, :f.m]] - v[s[:, f.m:]] @ f.w.T) @ f.inv_l
+        for f, s in factor:
+            z = v[s[:, :f.m]] @ f.inv_l.T
+            v[s[:, :f.m]] = z
+            v -= np.bincount(s[:, f.m:].ravel(), weights=(z @ f.w).ravel(), minlength=len(v))
+        for f, s in reversed(factor):
+            v[s[:, :f.m]] = (v[s[:, :f.m]] - v[s[:, f.m:]] @ f.w.T) @ f.inv_l
         return v / system.scale, 1
 
     return solve_ll, fill, fronts
@@ -750,16 +730,19 @@ def evaluate_solution(
     function given by global physical DOF values.
 
     Points on interior element boundaries resolve to the right/top element
-    unless an explicit element id is supplied.
+    unless an explicit element id is supplied.  A point outside the closed
+    unit square, or not finite, raises :class:`OutOfDomain`, with or without
+    an element.
     """
     if not all(is_integer(d) and 0 <= d <= 2 for d in deriv):
         raise ValueError("derivative orders above 2 are not tabulated")
     if element is not None and not (is_integer(element) and 0 <= element < mesh.n_elements):
         raise ValueError(f"element {element} outside 0..{mesh.n_elements - 1}")
     try:
-        e = mesh.locate(x, y) if element is None else element
+        located = mesh.locate(x, y)
     except ValueError as err:
         raise OutOfDomain(str(err)) from err
+    e = located if element is None else element
     x0, y0 = mesh.element_corner(e)
     pts = np.array([[(x - x0) / mesh.h, (y - y0) / mesh.h]])
     vals = evaluate_on_elements(mesh, dof_map, basis, coeffs, pts, deriv, slice(e, e + 1))

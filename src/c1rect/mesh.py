@@ -123,10 +123,6 @@ class DofMap:
     mesh: RectMesh = field(repr=False)
     basis: ElementBasis = field(repr=False)
 
-    @property
-    def n_free(self) -> int:
-        return int(self.total - np.count_nonzero(self.is_boundary))
-
     @cached_property
     def kind_code(self) -> np.ndarray:
         kind_code = np.empty(self.total, dtype=np.int8)

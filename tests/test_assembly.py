@@ -1,3 +1,4 @@
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -56,6 +57,13 @@ def test_gauss_rule_bounds():
         gauss_rule(0)
     with pytest.raises(ValueError):
         gauss_rule(33)
+    # True == 1 shared the cached rule of 1, with points_per_axis True; 2.5
+    # and "3" failed with numpy's or a TypeError's message
+    assert gauss_rule(1).points_per_axis == 1
+    for m in (True, False, 2.5, 3.0, "3"):
+        with pytest.raises(ValueError, match="points per direction must be in 1..32"):
+            gauss_rule(m)
+    assert gauss_rule(np.int64(3)).points_per_axis == 3
 
 
 def test_gauss_rule_is_shared_and_read_only():
@@ -332,12 +340,60 @@ def _direct_solver(system):
 
 
 def _eliminated(system):
-    """Free slots in the order the direct factor eliminates them, deepest
-    boxes first."""
+    """Free slots in the order the direct factor eliminates them, smallest
+    classes first."""
     factor, *_ = _factor(system)
     # a grid without free slots has no front that eliminates any
-    return np.concatenate([np.zeros(0, int)] + [s[:, :f.m].ravel() for level in factor[::-1]
-                                                for f, s in level])
+    return np.concatenate([np.zeros(0, int)] + [s[:, :f.m].ravel() for f, s in factor])
+
+
+def _bisection(n):
+    """Every box of the n x n element grid's nested dissection, by recursive
+    bisection across the longer side, x on a tie: per box, its (x0, y0, w, h),
+    its depth and its two halves' boxes."""
+    boxes = []
+
+    def bisect(x0, y0, w, h, depth):
+        if h > w:
+            halves = [(x0, y0, w, h // 2), (x0, y0 + h // 2, w, h - h // 2)]
+        elif w > 1:
+            halves = [(x0, y0, w // 2, h), (x0 + w // 2, y0, w - w // 2, h)]
+        else:
+            halves = []
+        boxes.append(((x0, y0, w, h), depth, halves))
+        for half in halves:
+            bisect(*half, depth + 1)
+
+    bisect(0, 0, n, n, 0)
+    return boxes
+
+
+def _class_of(box, n):
+    """A box's width, height and the sides of the unit square it touches,
+    from its coordinates: 1 left, 2 right, 4 bottom, 8 top."""
+    x0, y0, w, h = box
+    return w, h, (x0 == 0) + 2 * (x0 + w == n) + 4 * (y0 == 0) + 8 * (y0 + h == n)
+
+
+def test_dissection_matches_recursive_bisection():
+    # the same classes, each with the same boxes, and every box of a class
+    # has the halves that _halves gives from its class alone
+    for n in range(1, 41):
+        origins, halves = {}, {}
+        for box, _, parts in _bisection(n):
+            key = _class_of(box, n)
+            origins.setdefault(key, set()).add(box[1] * n + box[0])
+            halves.setdefault(key, []).append(
+                [(_class_of(part, n), (part[0] - box[0], part[1] - box[1])) for part in parts])
+        dissection = assembly._dissection(n)
+        assert sorted(key for key, _ in dissection) == sorted(origins)
+        done = set()
+        for key, first in dissection:
+            assert len(first) == len(origins[key]) and set(first.tolist()) == origins[key]
+            assert all(h == assembly._halves(*key) for h in halves[key])
+            # each class after its halves
+            assert all(half in done for half, _ in assembly._halves(*key))
+            done.add(key)
 
 
 @pytest.mark.parametrize("family", list(Family))
@@ -379,7 +435,7 @@ def test_nested_dissection_top_split_decouples_halves(family, k, level):
     # the root class is the one box, the whole grid, with no interface; it
     # eliminates exactly the slots that touch both halves
     factor, *_ = _factor(system)
-    (root, s), = factor[0]
+    root, s = factor[-1]
     assert s.shape == (1, root.m)
     assert np.array_equal(np.sort(s[0]), np.flatnonzero(~left & ~right))
 
@@ -424,18 +480,17 @@ def test_direct_factors_one_front_per_class(monkeypatch, family, k):
     made, front = [], assembly._front
     monkeypatch.setattr(assembly, "_front", lambda *a: made.append(front(*a)) or made[-1])
     factor, *_ = _factor(system)
-    # one front per class, made deepest depth first, with its number of boxes
-    depths, fronts = assembly._dissection(16), iter(f for f, _ in made)
-    classes = [[(next(fronts), np.count_nonzero(kind == c)) for c in range(len(keys))]
-               for _, keys, _, kind, _ in reversed(depths)][::-1]
-    assert next(fronts, None) is None
-    assert sum(b for level in classes for _, b in level) == 511
-    assert len(classes) == 9 and max(len(level) for level in classes) == 9
-    # the factor lists, per depth, the classes that eliminate DOFs, each
-    # with all of its boxes
-    assert [[(id(f), len(s)) for f, s in level] for level in factor] == \
-        [[(id(f), b) for f, b in level if f.m] for level in classes]
-    assert len(calls) <= 9 * len(factor)
+    # one front per class, made in the dissection's order, with its number of boxes
+    dissection = assembly._dissection(16)
+    assert len(made) == len(dissection)
+    classes = [(f, len(first)) for (f, _), (_, first) in zip(made, dissection)]
+    assert sum(b for _, b in classes) == 511
+    # on the 16 x 16 grid the boxes of depth d have area 256 / 2^d
+    depths = Counter(w * h for (w, h, _), _ in dissection)
+    assert len(depths) == 9 and max(depths.values()) == 9
+    # the factor lists the classes that eliminate DOFs, each with all of its boxes
+    assert [(id(f), len(s)) for f, s in factor] == [(id(f), b) for f, b in classes if f.m]
+    assert len(calls) <= 9 * len(depths)
 
 
 def _flat_index_front(slots, block, touching, origin, n, halves):
@@ -489,7 +544,7 @@ def test_front_matches_flat_index_extend_add(monkeypatch, family, k, level):
 
     monkeypatch.setattr(assembly, "_front", both)
     _factor(system)
-    assert len(made) == len(assembly._class_tree(assembly._dissection(2 ** (level - 1))))
+    assert len(made) == len(assembly._dissection(2 ** (level - 1)))
     assert 0 < max(made)
 
 
@@ -716,9 +771,8 @@ def test_recurring_class_is_factored_once(monkeypatch, n, fronts):
     calls, front = [], assembly._front
     monkeypatch.setattr(assembly, "_front", lambda *a: calls.append(a) or front(*a))
     result = solve(system)
-    depths = assembly._dissection(n)
-    assert result.fronts == len(calls) == fronts == len(assembly._class_tree(depths))
-    assert sum(len(keys) for _, keys, *_ in depths) > fronts
+    assert result.fronts == len(calls) == fronts == len(assembly._dissection(n))
+    assert len({(depth, _class_of(box, n)) for box, depth, _ in _bisection(n)}) > fronts
     # the coefficients of a dense LU refined on the same residual
     a = system.matrix.toarray()
     y = _refine_at_every_step(system, lambda r: (np.linalg.solve(a, r), 1))
@@ -967,6 +1021,19 @@ def test_evaluate_solution_out_of_domain():
     dm = build_dof_map(mesh, eb)
     with pytest.raises(OutOfDomain):
         evaluate_solution(mesh, dm, eb, np.zeros(dm.total), 1.5, 0.5)
+    # an explicit element skipped the check: (5, 5) on element 0 of a q-bfs
+    # k=4 n=2 mesh extrapolated to -2.24e10, and x = nan returned nan
+    eb = element_basis(Family.BFS_Q, 4)
+    mesh = build_mesh(2)
+    dm = build_dof_map(mesh, eb)
+    coeffs = np.random.default_rng(0).standard_normal(dm.total)
+    for x, y in ((5.0, 5.0), (np.nan, 0.5), (0.5, np.inf), (-1e-300, 0.5), (0.5, 1.0 + 1e-15)):
+        for element in (None, 0):
+            with pytest.raises(OutOfDomain):
+                evaluate_solution(mesh, dm, eb, coeffs, x, y, element=element)
+    # the closed square's corners are inside, with or without an element
+    assert evaluate_solution(mesh, dm, eb, coeffs, 1.0, 1.0, element=3) == \
+        evaluate_solution(mesh, dm, eb, coeffs, 1.0, 1.0)
 
 
 def test_value_continuity_across_interior_edge(rng):

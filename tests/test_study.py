@@ -313,7 +313,7 @@ def test_study_factors_each_class_once(monkeypatch, family, k, levels, fronts):
     assert max(kept[:-1]) == 9 and kept[-1] == 0
     # each level keeps exactly the fronts that the next one reuses
     for level in range(1, levels):
-        classes = assembly._class_tree(assembly._dissection(2 ** level))
+        classes = assembly._dissection(2 ** level)
         assert held[level - 1] + fronts[level] == len(classes)
     assert held[-1] == 0
     # each Schur complement held is read later on its level or by the next
