@@ -69,7 +69,7 @@ for family in Family:
             print(f"  level {level} dof map",
                   digest(*(getattr(dm, name) for name in DOF_MAP_FIELDS)))
             if level == 3:
-                system = assemble(mesh, dm, eb, exact_solution().f)
+                system = assemble(dm, exact_solution().f)
                 scale = mesh.h ** eb.deriv_orders.astype(float)
                 block = system.element_matrix * np.outer(scale, scale) / mesh.h**2
                 hi = block.astype(float)

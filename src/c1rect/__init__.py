@@ -3,7 +3,6 @@ problem: a bubble-enriched total-degree family and the tensor-product
 Bogner-Fox-Schmit family, with a manufactured-solution convergence driver."""
 
 from .assembly import (
-    DimensionMismatch,
     LinearSystem,
     NotConverged,
     NotSPD,

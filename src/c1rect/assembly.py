@@ -28,12 +28,8 @@ from typing import Callable
 import numpy as np
 
 from .elements import ElementBasis
-from .mesh import DofMap, RectMesh, is_integer
-from .poly2d import FloatArray
-
-
-class DimensionMismatch(ValueError):
-    """DOF map and element basis disagree on the local DOF count."""
+from .mesh import DofMap, RectMesh
+from .poly2d import FloatArray, is_integer
 
 
 class NotConverged(RuntimeError):
@@ -65,7 +61,7 @@ class QuadratureRule:
 @lru_cache(maxsize=None, typed=True)  # typed: True is not a cached 1
 def gauss_rule(m: int) -> QuadratureRule:
     """m-point-per-direction tensor rule, exact on Q_(2m-1), m an integer
-    (:func:`mesh.is_integer`); shared, read-only."""
+    (:func:`poly2d.is_integer`); shared, read-only."""
     if not (is_integer(m) and 1 <= m <= 32):
         raise ValueError("points per direction must be in 1..32")
     nodes, weights = np.polynomial.legendre.leggauss(m)
@@ -175,13 +171,9 @@ def on_quadrature_grid(fn: Callable, mesh: RectMesh, rule: QuadratureRule,
     return np.broadcast_to(vals, (len(y), n, m, m)).reshape(len(y) * n, m * m)
 
 
-def assemble(
-    mesh: RectMesh,
-    dof_map: DofMap,
-    basis: ElementBasis,
-    f: Callable[[FloatArray, FloatArray], FloatArray],
-) -> LinearSystem:
-    """Assemble the clamped Galerkin system for lap^2 u = f.
+def assemble(dof_map: DofMap, f: Callable[[FloatArray, FloatArray], FloatArray]) -> LinearSystem:
+    """Assemble the clamped Galerkin system for lap^2 u = f on the map's mesh
+    and basis.
 
     ``f`` must accept broadcastable arrays (:func:`on_quadrature_grid`).
     The (element, local DOF) load is integrated one block of
@@ -190,10 +182,7 @@ def assemble(
     no right-hand-side correction).  The operator is the basis's reference
     stiffness A_1 itself, scaled by s = h^(o - 1) on each free slot.
     """
-    if dof_map.local_to_global.shape[1] != basis.dim:
-        raise DimensionMismatch(
-            f"map has {dof_map.local_to_global.shape[1]} local slots, "
-            f"element has {basis.dim}")
+    mesh, basis = dof_map.mesh, dof_map.basis
     table = reference_table(basis)
     q, h = table.quad, mesh.h
     scale = h ** basis.deriv_orders.astype(float)
@@ -302,19 +291,20 @@ class FrontStore:
 
     A class holds no grid size, and the fronts factor A_1, the operator
     without its level scaling S, so a front does not depend on the level.
-    The first grid makes a plan: the classes of the grids from it to
-    ``finest``, and the readers of each one's Schur complement among all of
-    them, each class counted once.  A factor drops a Schur complement once
-    its last reader is factored, and after a grid the store drops the fronts
-    of the classes that no grid left in the plan has.  After ``finest``, or
-    a grid whose factor fails, it holds nothing; another A_1, or any grid
-    but the plan's next, starts a new plan.
+    The first grid makes a plan: the dissections of the grids from it to
+    ``finest``, each made once and walked by its grid's factor, and the
+    readers of each class's Schur complement among all of them, each class
+    counted once.  A factor drops a Schur complement once its last reader is
+    factored, and after a grid the store drops the fronts of the classes
+    that no grid left in the plan has.  After ``finest``, or a grid whose
+    factor fails, it holds nothing; another A_1, or any grid but the plan's
+    next, starts a new plan.
     """
 
     finest: int = 0
     block: FloatArray | None = field(default=None, init=False)  # the float64 A_1
-    #: (n, classes) of each grid still to solve, next first
-    plan: list[tuple[int, set]] = field(default_factory=list, init=False)
+    #: (n, :func:`_dissection` as a dict) of each grid still to solve, next first
+    plan: list[tuple[int, dict]] = field(default_factory=list, init=False)
     #: readers of each class's Schur complement not yet factored
     reads: Counter = field(default_factory=Counter, init=False)
     fronts: dict[tuple, _Front] = field(default_factory=dict, init=False)
@@ -425,15 +415,15 @@ def _multifrontal_cholesky(system: LinearSystem, block: FloatArray, store: Front
         grids = [n]
         while 2 * grids[-1] <= store.finest:
             grids.append(2 * grids[-1])
-        store.plan = [(g, {key for key, _ in _dissection(g)}) for g in grids]
+        store.plan = [(g, dict(_dissection(g))) for g in grids]
         union = set().union(*(keys for _, keys in store.plan))
         store.reads = Counter(half for key in union for half, _ in _halves(*key))
         store.block, store.fronts, store.schur = block, {}, {}
-    store.plan.pop(0)
+    _, classes = store.plan.pop(0)
     touching = np.bincount(slots[slots >= 0], minlength=system.n_free)
     factor, made = [], 0
     try:
-        for key, origins in _dissection(n):
+        for key, origins in classes.items():
             if key not in store.fronts:
                 parts = _halves(*key)
                 halves = [(store.fronts[k], store.schur[k], d) for k, d in parts]
@@ -686,11 +676,12 @@ def solve(system: LinearSystem, rel_tol: float = 1e-13,
     return SolveResult(coeffs, iterations, rel, method, fill, made)
 
 
-def evaluate_on_elements(mesh: RectMesh, dof_map: DofMap, basis: ElementBasis, coeffs: FloatArray,
-                         ref_points: FloatArray | None, deriv: tuple[int, int] = (0, 0),
+def evaluate_on_elements(dof_map: DofMap, coeffs: FloatArray, ref_points: FloatArray | None,
+                         deriv: tuple[int, int] = (0, 0),
                          elements: slice = slice(None)) -> FloatArray:
     """(deriv_x, deriv_y) derivative of the finite element function given by
-    global physical DOF values, at reference points shared by every element.
+    global physical DOF values on the map's mesh and basis, at reference
+    points shared by every element.
 
     ref_points: (npts, 2) coordinates on [0,1]^2, or None for the cached
     tabulation on :func:`reference_table`'s rule.  Returns one row per
@@ -703,6 +694,7 @@ def evaluate_on_elements(mesh: RectMesh, dof_map: DofMap, basis: ElementBasis, c
     coeffs = np.asarray(coeffs, dtype=float)
     if coeffs.shape != (dof_map.total,):
         raise ValueError(f"{coeffs.size} coefficients for {dof_map.total} global DOFs")
+    mesh, basis = dof_map.mesh, dof_map.basis
     # physical nodal n = h^o_n * reference nodal n; each derivative divides by h
     scale = mesh.h ** (basis.deriv_orders - deriv[0] - deriv[1]).astype(float)
     vals = (reference_table(basis).tab[deriv] if ref_points is None
@@ -716,18 +708,10 @@ def evaluate_on_elements(mesh: RectMesh, dof_map: DofMap, basis: ElementBasis, c
     return out
 
 
-def evaluate_solution(
-    mesh: RectMesh,
-    dof_map: DofMap,
-    basis: ElementBasis,
-    coeffs: FloatArray,
-    x: float,
-    y: float,
-    deriv: tuple[int, int] = (0, 0),
-    element: int | None = None,
-) -> float:
+def evaluate_solution(dof_map: DofMap, coeffs: FloatArray, x: float, y: float,
+                      deriv: tuple[int, int] = (0, 0), element: int | None = None) -> float:
     """Point value (or derivative up to order (2,2)) of a finite element
-    function given by global physical DOF values.
+    function given by global physical DOF values on the map's mesh and basis.
 
     Points on interior element boundaries resolve to the right/top element
     unless an explicit element id is supplied.  A point outside the closed
@@ -736,6 +720,7 @@ def evaluate_solution(
     """
     if not all(is_integer(d) and 0 <= d <= 2 for d in deriv):
         raise ValueError("derivative orders above 2 are not tabulated")
+    mesh = dof_map.mesh
     if element is not None and not (is_integer(element) and 0 <= element < mesh.n_elements):
         raise ValueError(f"element {element} outside 0..{mesh.n_elements - 1}")
     try:
@@ -745,5 +730,5 @@ def evaluate_solution(
     e = located if element is None else element
     x0, y0 = mesh.element_corner(e)
     pts = np.array([[(x - x0) / mesh.h, (y - y0) / mesh.h]])
-    vals = evaluate_on_elements(mesh, dof_map, basis, coeffs, pts, deriv, slice(e, e + 1))
+    vals = evaluate_on_elements(dof_map, coeffs, pts, deriv, slice(e, e + 1))
     return float(vals[0, 0])

@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .poly2d import DofFunctional, DofKind, FloatArray, functional_matrix
+from .poly2d import DofFunctional, DofKind, FloatArray, functional_matrix, is_integer
 
 #: reciprocal-condition floor below which a duality matrix is treated as singular
 RCOND_FLOOR = 1e-14
@@ -29,8 +29,10 @@ class SingularDofMatrix(RuntimeError):
 
 
 def _check_degree(k: int) -> None:
-    if k < 4:
-        raise ValueError(f"degree must be at least 4, got {k}")
+    """Shared by the Bell and element builders: an integer
+    (:func:`poly2d.is_integer`) of at least 4."""
+    if not (is_integer(k) and k >= 4):
+        raise ValueError(f"degree must be an integer of at least 4, got {k!r}")
 
 
 def bell_labels(k: int) -> list[Label]:
@@ -185,7 +187,7 @@ class BellBasis:
         return self.nodal[self.index[label]]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # typed: 4.0 is not a cached 4
 def bell_nodal_basis(k: int) -> BellBasis:
     """Construct and certify the nodal basis dual to :func:`bell_dofs`."""
     labels = bell_labels(k)

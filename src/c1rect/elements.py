@@ -25,7 +25,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .bell import bell_nodal_basis, dual_nodal_basis, select_bubbles
+from .bell import _check_degree, bell_nodal_basis, dual_nodal_basis, select_bubbles
 from .poly2d import DofFunctional, DofKind, FloatArray, _differentiate, monomials
 
 
@@ -140,8 +140,7 @@ def enriched_dofs(k: int) -> list[DofFunctional]:
     at i/(k-3); plus the 16 vertex DOFs; plus, for k > 7, interior values on
     the triangular lattice (i, j)/(k-2), 1 <= j <= i <= k-7.
     """
-    if k < 4:
-        raise ValueError(f"degree must be at least 4, got {k}")
+    _check_degree(k)
     return _dof_list([i / (k - 2) for i in range(1, k - 2)],
                      [i / (k - 3) for i in range(1, k - 3)],
                      [(i / (k - 2), j / (k - 2))
@@ -160,8 +159,7 @@ def _qk_monomials(k: int) -> FloatArray:
 
 def enriched_space(k: int) -> FloatArray:
     """Spanning set: total-degree monomials followed by the selected bubbles."""
-    if k < 4:
-        raise ValueError(f"degree must be at least 4, got {k}")
+    _check_degree(k)
     bb = bell_nodal_basis(k)
     return np.concatenate([_pk_monomials(k), [bb.bubble(lab) for lab in select_bubbles(k)]])
 
@@ -173,13 +171,13 @@ def _element(family: Family, k: int, dofs, span, edge_dof_count: int) -> Element
     return ElementBasis(family, k, dofs, nodal, edge_dof_count, rcond)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # typed: 4.0 is not a cached 4
 def enriched_nodal_basis(k: int) -> ElementBasis:
     return _element(Family.ENRICHED_P, k, enriched_dofs(k), enriched_space(k),
                     edge_dof_count=2 * k - 7)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # typed: 4.0 is not a cached 4
 def bfs_element(k: int) -> ElementBasis:
     """Tensor-product C1 element of degree k, dimension (k+1)^2.
 
@@ -187,8 +185,7 @@ def bfs_element(k: int) -> ElementBasis:
     values at the k-3 equispaced interior points; the 2-d DOFs are all
     pairwise products of the 1-d functionals.
     """
-    if k < 4:
-        raise ValueError(f"degree must be at least 4, got {k}")
+    _check_degree(k)
     t = [i / (k - 2) for i in range(1, k - 2)]
     dofs = _dof_list(t, t, [(ti, tj) for tj in t for ti in t])
     return _element(Family.BFS_Q, k, dofs, _qk_monomials(k), edge_dof_count=2 * (k - 3))

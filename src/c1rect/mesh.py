@@ -20,12 +20,7 @@ from functools import cached_property
 import numpy as np
 
 from .elements import VERTEX_KINDS, ElementBasis
-from .poly2d import FloatArray
-
-
-def is_integer(x) -> bool:
-    """An int or a numpy integer, not a bool."""
-    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+from .poly2d import FloatArray, is_integer
 
 
 @dataclass(frozen=True)
@@ -101,7 +96,7 @@ MAX_LEVEL = 16
 
 
 def build_mesh(level: int) -> RectMesh:
-    """Mesh of refinement level 1..MAX_LEVEL, an integer (:func:`is_integer`):
+    """Mesh of refinement level 1..MAX_LEVEL, an integer (:func:`poly2d.is_integer`):
     n = 2^(level-1) subdivisions per side."""
     if not (is_integer(level) and 1 <= level <= MAX_LEVEL):
         raise ValueError(f"refinement level must be in 1..{MAX_LEVEL}, got {level}")
@@ -110,7 +105,8 @@ def build_mesh(level: int) -> RectMesh:
 
 @dataclass(eq=False)
 class DofMap:
-    """Global DOF numbering for one (mesh, element) pair.
+    """The discrete space: global DOF numbering of one element basis on one
+    mesh, both carried, so every function that takes a map reads them here.
 
     ``points`` and ``kind_code`` (an index into ``elements.VERTEX_KINDS``)
     give each global DOF's physical functional for nodal interpolation; no

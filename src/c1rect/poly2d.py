@@ -25,6 +25,11 @@ import numpy.typing as npt
 FloatArray = npt.NDArray[np.float64]
 
 
+def is_integer(x) -> bool:
+    """An int or a numpy integer, not a bool."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 def _shift_to_normalized(n: int) -> FloatArray:
     """Matrix S with x^i = sum_m S[m, i] u^m for u = 2x - 1."""
     S = np.zeros((n + 1, n + 1))

@@ -24,8 +24,8 @@ from . import assembly
 from .assembly import gauss_rule
 from .elements import (ElementBasis, Family, _pk_monomials, _qk_monomials,
                        element_basis, unisolvency_report)
-from .mesh import MAX_LEVEL, DofMap, RectMesh, build_dof_map, build_mesh, clamped_flags, is_integer
-from .poly2d import FloatArray, functional_matrix
+from .mesh import MAX_LEVEL, DofMap, build_dof_map, build_mesh, clamped_flags
+from .poly2d import FloatArray, functional_matrix, is_integer
 
 
 @dataclass(frozen=True)
@@ -74,9 +74,9 @@ def exact_solution() -> ExactSolution:
 _KIND_DERIVS = {0: "u", 1: "ux", 2: "uy", 3: "uxy"}
 
 
-def interpolate(exact: ExactSolution, mesh: RectMesh, dof_map: DofMap,
-                basis: ElementBasis) -> FloatArray:
-    """Nodal interpolant: each global DOF set to its functional applied to u."""
+def interpolate(exact: ExactSolution, dof_map: DofMap) -> FloatArray:
+    """Nodal interpolant on the map's mesh and basis: each global DOF set to
+    its functional applied to u."""
     coeffs = np.empty(dof_map.total)
     x, y = dof_map.points[:, 0], dof_map.points[:, 1]
     for code, name in _KIND_DERIVS.items():
@@ -86,27 +86,23 @@ def interpolate(exact: ExactSolution, mesh: RectMesh, dof_map: DofMap,
     return coeffs
 
 
-def error_norms(
-    mesh: RectMesh,
-    dof_map: DofMap,
-    basis: ElementBasis,
-    coeffs: FloatArray,
-    exact: ExactSolution,
-) -> tuple[float, float]:
-    """(L2, H2-seminorm) errors of the FE function against the exact solution,
-    on the rule of :func:`assembly.reference_table`.  The H2 seminorm weights
-    the mixed second derivative twice: |e|_2^2 = int e_xx^2 + 2 e_xy^2 + e_yy^2.
+def error_norms(dof_map: DofMap, coeffs: FloatArray, exact: ExactSolution) -> tuple[float, float]:
+    """(L2, H2-seminorm) errors of the FE function on the map's mesh and basis
+    against the exact solution, on the rule of :func:`assembly.reference_table`.
+    The H2 seminorm weights the mixed second derivative twice:
+    |e|_2^2 = int e_xx^2 + 2 e_xy^2 + e_yy^2.
     The grids run one block of :func:`assembly.element_row_blocks` at a
     time, so no grid covers the whole mesh: each squared error grid of a
     block is formed in place in its grid of FE values, and each element's
     L2 and H2 integrals are written into one vector per norm, summed once.
     """
-    q = assembly.reference_table(basis).quad
+    mesh = dof_map.mesh
+    q = assembly.reference_table(dof_map.basis).quad
     h = mesh.h
     l2, h2 = np.empty(mesh.n_elements), np.empty(mesh.n_elements)
 
     def squared_error(exact_fn, deriv, rows, elems):
-        e = assembly.evaluate_on_elements(mesh, dof_map, basis, coeffs, None, deriv, elems)
+        e = assembly.evaluate_on_elements(dof_map, coeffs, None, deriv, elems)
         np.subtract(assembly.on_quadrature_grid(exact_fn, mesh, q, rows), e, out=e)
         return np.square(e, out=e)
 
@@ -125,10 +121,11 @@ def error_norms(
 
 
 def _check_degree_and_level(k: int, level: int) -> None:
-    """Shared by :class:`StudyConfig` and :func:`verify`: integers, k in 4..8."""
+    """Shared by :class:`StudyConfig` and :func:`verify`: integers, k in 4..8
+    and level in 1..MAX_LEVEL, with :func:`mesh.build_mesh`'s message."""
     if not (is_integer(k) and 4 <= k <= 8):
         raise ValueError("degree must be between 4 and 8")
-    if not is_integer(level):
+    if not (is_integer(level) and 1 <= level <= MAX_LEVEL):
         raise ValueError(f"refinement level must be in 1..{MAX_LEVEL}, got {level}")
 
 
@@ -144,11 +141,6 @@ class StudyConfig:
         self.family = Family(self.family)
         _check_degree_and_level(self.k, self.max_level)
         self.k, self.max_level = int(self.k), int(self.max_level)
-        if self.max_level < 1:
-            raise ValueError("need at least one level")
-        if self.max_level > MAX_LEVEL:
-            raise ValueError(f"finest level must be at most {MAX_LEVEL}, "
-                             f"got {self.max_level}")
         if self.solver not in assembly.SOLVER_METHODS:
             raise ValueError(f"unknown solver {self.solver!r}")
         if not (math.isfinite(self.rel_tol) and self.rel_tol > 0.0):
@@ -200,7 +192,7 @@ def run_study(config: StudyConfig) -> StudyReport:
         mesh = build_mesh(level)
         dof_map = clamped_flags(build_dof_map(mesh, basis))
         t1 = time.perf_counter()
-        system = assembly.assemble(mesh, dof_map, basis, exact.f)
+        system = assembly.assemble(dof_map, exact.f)
         t2 = time.perf_counter()
         try:
             result = assembly.solve(system, rel_tol=config.rel_tol,
@@ -209,7 +201,7 @@ def run_study(config: StudyConfig) -> StudyReport:
             err.args = (f"level {level}: {err}",)
             raise
         t3 = time.perf_counter()
-        l2, h2 = error_norms(mesh, dof_map, basis, result.coeffs, exact)
+        l2, h2 = error_norms(dof_map, result.coeffs, exact)
         t4 = time.perf_counter()
         l2_order = math.log2(rows[-1].l2_err / l2) if rows else 0.0
         h2_order = math.log2(rows[-1].h2_err / h2) if rows else 0.0
@@ -304,23 +296,27 @@ class Check:
     note: str = ""
 
 
-def c1_jump(mesh: RectMesh, dof_map: DofMap, basis: ElementBasis,
-            coeffs: FloatArray, samples_per_edge: int = 10) -> float:
-    """Max value/gradient jump across interior edges, relative to max |u_h|.
+def c1_jump(dof_map: DofMap, coeffs: FloatArray, samples_per_edge: int = 10) -> float:
+    """Max value/gradient jump across interior edges of the map's mesh,
+    relative to max |u_h|, from ``samples_per_edge`` points per edge, an
+    integer of at least 1 (:func:`poly2d.is_integer`).
 
     Any global coefficient vector defines a conforming function, so the
     jumps measure roundoff, not discretization.
     """
+    if not (is_integer(samples_per_edge) and samples_per_edge >= 1):
+        raise ValueError(f"samples per edge must be an integer of at least 1, "
+                         f"got {samples_per_edge!r}")
     ts = (np.arange(samples_per_edge) + 0.5) / samples_per_edge
     zeros, ones = np.zeros_like(ts), np.ones_like(ts)
     # reference samples on the bottom, top, left and right sides
     sides = np.concatenate([np.column_stack(p) for p in
                             ((ts, zeros), (ts, ones), (zeros, ts), (ones, ts))])
-    n, s = mesh.n, samples_per_edge
+    n, s = dof_map.mesh.n, samples_per_edge
     worst = 0.0
     umax = 0.0
     for d in ((0, 0), (1, 0), (0, 1)):
-        vals = assembly.evaluate_on_elements(mesh, dof_map, basis, coeffs, sides, d)
+        vals = assembly.evaluate_on_elements(dof_map, coeffs, sides, d)
         bottom, top, left, right = vals.reshape(n, n, 4, s).transpose(2, 0, 1, 3)
         # (lower/left side, upper/right side) of every interior h- and v-edge
         for lo, hi in ((top[:-1], bottom[1:]), (right[:, :-1], left[:, 1:])):
@@ -390,7 +386,7 @@ def verify(family: Family, k: int, level: int) -> list[Check]:
 
     coeffs = rng.standard_normal(dof_map.total)
     coeffs[dof_map.is_boundary] = 0.0
-    jump = c1_jump(mesh, dof_map, basis, coeffs)
+    jump = c1_jump(dof_map, coeffs)
     checks.append(Check("c1_jump_relative", jump < 1e-8, jump, 1e-8))
 
     return checks

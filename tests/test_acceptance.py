@@ -119,7 +119,7 @@ def test_criterion_4_zero_solution_sanity():
     row = rep.rows[0]
     mesh = build_mesh(1)
     dm = clamped_flags(build_dof_map(mesh, element_basis(EP, 4)))
-    system = assembly.assemble(mesh, dm, element_basis(EP, 4), exact_solution().f)
+    system = assembly.assemble(dm, exact_solution().f)
     result = assembly.solve(system)
     ok = (system.n_free == 0 and np.all(result.coeffs == 0.0)
           and abs(row.l2_err - 0.375) <= 1e-6)
@@ -167,7 +167,7 @@ def test_criterion_6_property_suite(rng):
             eb = element_basis(family, k)
             dm = clamped_flags(build_dof_map(mesh, eb))
             coeffs = rng.standard_normal(dm.total)
-            jump = c1_jump(mesh, dm, eb, coeffs, samples_per_edge=5)
+            jump = c1_jump(dm, coeffs, samples_per_edge=5)
             if jump >= 1e-8:
                 failures.append(f"c1 jump {family.value} k={k}: {jump:.2e}")
 
@@ -176,12 +176,12 @@ def test_criterion_6_property_suite(rng):
     for family, k in ((QB, 4), (EP, 8)):
         eb = element_basis(family, k)
         dm = clamped_flags(build_dof_map(mesh2, eb))
-        system = assembly.assemble(mesh2, dm, eb, lambda X, Y: polyval(PATCH_F, X, Y))
+        system = assembly.assemble(dm, lambda X, Y: polyval(PATCH_F, X, Y))
         result = assembly.solve(system, method="direct")
         worst = 0.0
         for _ in range(40):
             x, y = rng.uniform(0, 1, size=2)
-            got = assembly.evaluate_solution(mesh2, dm, eb, result.coeffs, x, y)
+            got = assembly.evaluate_solution(dm, result.coeffs, x, y)
             worst = max(worst, abs(got - float(polyval(PATCH_U, x, y))))
         if worst >= 1e-8:
             failures.append(f"patch test {family.value} k={k}: {worst:.2e}")
@@ -202,7 +202,7 @@ def test_criterion_7_solver_cross_check():
                 dm = clamped_flags(build_dof_map(mesh, eb))
                 if dm.total > 3000:
                     continue
-                system = assembly.assemble(mesh, dm, eb, exact.f)
+                system = assembly.assemble(dm, exact.f)
                 direct = assembly.solve(system, method="direct")
                 try:
                     cg = assembly.solve(system, rel_tol=1e-13, method="cg")

@@ -7,7 +7,6 @@ import scipy.sparse
 
 from c1rect import assembly
 from c1rect.assembly import (
-    DimensionMismatch,
     LinearSystem,
     NotConverged,
     NotSPD,
@@ -117,7 +116,7 @@ def _system(family, k, level, f):
     eb = element_basis(family, k)
     mesh = build_mesh(level)
     dm = clamped_flags(build_dof_map(mesh, eb))
-    return mesh, dm, eb, assembly.assemble(mesh, dm, eb, f)
+    return mesh, dm, eb, assembly.assemble(dm, f)
 
 
 def test_zero_source_gives_zero_solution():
@@ -133,14 +132,6 @@ def test_fully_clamped_single_element_is_empty():
     result = solve(system)
     assert result.method == "empty"
     assert np.all(result.coeffs == 0.0)
-
-
-def test_dimension_mismatch_detected():
-    mesh = build_mesh(2)
-    dm = clamped_flags(build_dof_map(mesh, element_basis(Family.ENRICHED_P, 4)))
-    with pytest.raises(DimensionMismatch):
-        assembly.assemble(mesh, dm, element_basis(Family.ENRICHED_P, 5),
-                          exact_solution().f)
 
 
 def test_stiffness_symmetry_and_definiteness():
@@ -267,8 +258,7 @@ def test_operator_matches_scaled_element_block(family, k, level, rng):
     *[(Family.BFS_Q, 5, n) for n in (1, 2, 3, 5)]])
 def test_preconditioner_sums_element_block_inverses(family, k, n, rng):
     eb, mesh = element_basis(family, k), RectMesh(n)
-    system = assembly.assemble(mesh, clamped_flags(build_dof_map(mesh, eb)), eb,
-                               exact_solution().f)
+    system = assembly.assemble(clamped_flags(build_dof_map(mesh, eb)), exact_solution().f)
     A = system.matrix.toarray()
     r = rng.standard_normal(system.n_free)
     ref, cond = np.zeros_like(r), 0.0
@@ -649,7 +639,7 @@ def test_direct_solve_on_unequal_halves(family, n):
     eb = element_basis(family, 4)
     mesh = RectMesh(n)
     dm = clamped_flags(build_dof_map(mesh, eb))
-    system = assembly.assemble(mesh, dm, eb, exact_solution().f)
+    system = assembly.assemble(dm, exact_solution().f)
     x = solve(system).coeffs[system.free_dofs]
     y = np.linalg.solve(system.matrix.toarray(), system.rhs)
     assert np.max(np.abs(x - y)) <= 1e-10 * np.max(np.abs(y))
@@ -766,8 +756,7 @@ def test_recurring_class_is_factored_once(monkeypatch, n, fronts):
     # n not a power of two: some classes recur at two depths
     eb = element_basis(Family.ENRICHED_P, 4)
     mesh = RectMesh(n)
-    system = assembly.assemble(mesh, clamped_flags(build_dof_map(mesh, eb)), eb,
-                               exact_solution().f)
+    system = assembly.assemble(clamped_flags(build_dof_map(mesh, eb)), exact_solution().f)
     calls, front = [], assembly._front
     monkeypatch.setattr(assembly, "_front", lambda *a: calls.append(a) or front(*a))
     result = solve(system)
@@ -790,7 +779,7 @@ def test_evaluate_solution_caches_nothing(rng):
     # would leave currsize at 1 but count a miss
     state = (assembly.reference_table.cache_info(), sorted(vars(eb)))
     for x, y in rng.uniform(0, 1, size=(100, 2)):
-        evaluate_solution(mesh, dm, eb, coeffs, x, y, deriv=(1, 1))
+        evaluate_solution(dm, coeffs, x, y, deriv=(1, 1))
     assert (assembly.reference_table.cache_info(), sorted(vars(eb))) == state
 
 
@@ -800,7 +789,7 @@ def test_polynomial_patch_test(family, k, rng):
     result = solve(system, method="direct")
     for _ in range(40):
         x, y = rng.uniform(0, 1, size=2)
-        got = evaluate_solution(mesh, dm, eb, result.coeffs, x, y)
+        got = evaluate_solution(dm, result.coeffs, x, y)
         assert got == pytest.approx(float(polyval(PATCH_U, x, y)), abs=1e-9)
 
 
@@ -944,10 +933,10 @@ def test_evaluate_solution_reproduces_linear(rng):
         uy = staticmethod(lambda x, y: np.ones_like(np.asarray(x, dtype=float)))
         uxy = staticmethod(lambda x, y: np.zeros_like(np.asarray(x, dtype=float)))
 
-    coeffs = interpolate(Linear, mesh, dm, eb)
+    coeffs = interpolate(Linear, dm)
     for _ in range(10):
         x, y = rng.uniform(0, 1, size=2)
-        assert evaluate_solution(mesh, dm, eb, coeffs, x, y) == pytest.approx(
+        assert evaluate_solution(dm, coeffs, x, y) == pytest.approx(
             x + y, abs=1e-11)
 
 
@@ -962,10 +951,10 @@ def test_evaluate_solution_derivative(rng):
         uy = staticmethod(lambda x, y: np.zeros_like(np.asarray(x, dtype=float)))
         uxy = staticmethod(lambda x, y: np.zeros_like(np.asarray(x, dtype=float)))
 
-    coeffs = interpolate(Quad, mesh, dm, eb)
+    coeffs = interpolate(Quad, dm)
     for _ in range(10):
         x, y = rng.uniform(0, 1, size=2)
-        got = evaluate_solution(mesh, dm, eb, coeffs, x, y, deriv=(1, 0))
+        got = evaluate_solution(dm, coeffs, x, y, deriv=(1, 0))
         assert got == pytest.approx(2 * x, abs=1e-10)
 
 
@@ -978,7 +967,7 @@ def test_evaluate_solution_rejects_unknown_element(element):
     mesh = build_mesh(2)
     dm = build_dof_map(mesh, eb)
     with pytest.raises(ValueError, match="outside 0..3"):
-        evaluate_solution(mesh, dm, eb, np.ones(dm.total), 0.25, 0.25, element=element)
+        evaluate_solution(dm, np.ones(dm.total), 0.25, 0.25, element=element)
 
 
 @pytest.mark.parametrize("deriv", [(1.5, 0), (0, 3), (-1, 0), (True, 0), (0, 2.0)])
@@ -988,7 +977,7 @@ def test_evaluate_solution_rejects_non_integer_derivative(deriv):
     mesh = build_mesh(2)
     dm = build_dof_map(mesh, eb)
     with pytest.raises(ValueError, match="derivative orders above 2 are not tabulated"):
-        evaluate_solution(mesh, dm, eb, np.ones(dm.total), 0.25, 0.25, deriv=deriv)
+        evaluate_solution(dm, np.ones(dm.total), 0.25, 0.25, deriv=deriv)
 
 
 def test_evaluate_solution_accepts_numpy_integers(rng):
@@ -996,7 +985,7 @@ def test_evaluate_solution_accepts_numpy_integers(rng):
     mesh = build_mesh(2)
     dm = build_dof_map(mesh, eb)
     coeffs = rng.standard_normal(dm.total)
-    args = (mesh, dm, eb, coeffs, 0.5, 0.25)
+    args = (dm, coeffs, 0.5, 0.25)
     assert (evaluate_solution(*args, deriv=(np.int64(1), np.int8(1)), element=np.int64(0))
             == evaluate_solution(*args, deriv=(1, 1), element=0))
 
@@ -1010,9 +999,9 @@ def test_evaluation_rejects_coefficients_of_wrong_length(extra):
     coeffs = np.ones(dm.total + extra)
     message = f"{dm.total + extra} coefficients for {dm.total} global DOFs"
     with pytest.raises(ValueError, match=message):
-        assembly.evaluate_on_elements(mesh, dm, eb, coeffs, None)
+        assembly.evaluate_on_elements(dm, coeffs, None)
     with pytest.raises(ValueError, match=message):
-        evaluate_solution(mesh, dm, eb, coeffs, 0.25, 0.25)
+        evaluate_solution(dm, coeffs, 0.25, 0.25)
 
 
 def test_evaluate_solution_out_of_domain():
@@ -1020,7 +1009,7 @@ def test_evaluate_solution_out_of_domain():
     mesh = build_mesh(1)
     dm = build_dof_map(mesh, eb)
     with pytest.raises(OutOfDomain):
-        evaluate_solution(mesh, dm, eb, np.zeros(dm.total), 1.5, 0.5)
+        evaluate_solution(dm, np.zeros(dm.total), 1.5, 0.5)
     # an explicit element skipped the check: (5, 5) on element 0 of a q-bfs
     # k=4 n=2 mesh extrapolated to -2.24e10, and x = nan returned nan
     eb = element_basis(Family.BFS_Q, 4)
@@ -1030,10 +1019,10 @@ def test_evaluate_solution_out_of_domain():
     for x, y in ((5.0, 5.0), (np.nan, 0.5), (0.5, np.inf), (-1e-300, 0.5), (0.5, 1.0 + 1e-15)):
         for element in (None, 0):
             with pytest.raises(OutOfDomain):
-                evaluate_solution(mesh, dm, eb, coeffs, x, y, element=element)
+                evaluate_solution(dm, coeffs, x, y, element=element)
     # the closed square's corners are inside, with or without an element
-    assert evaluate_solution(mesh, dm, eb, coeffs, 1.0, 1.0, element=3) == \
-        evaluate_solution(mesh, dm, eb, coeffs, 1.0, 1.0)
+    assert evaluate_solution(dm, coeffs, 1.0, 1.0, element=3) == \
+        evaluate_solution(dm, coeffs, 1.0, 1.0)
 
 
 def test_value_continuity_across_interior_edge(rng):
@@ -1046,6 +1035,6 @@ def test_value_continuity_across_interior_edge(rng):
     i, j = mesh.element_index(hi)
     for t in rng.uniform(0.05, 0.95, size=8):
         x, y = (i + t) * mesh.h, j * mesh.h
-        a = evaluate_solution(mesh, dm, eb, coeffs, x, y, element=lo)
-        b = evaluate_solution(mesh, dm, eb, coeffs, x, y, element=hi)
+        a = evaluate_solution(dm, coeffs, x, y, element=lo)
+        b = evaluate_solution(dm, coeffs, x, y, element=hi)
         assert abs(a - b) < 1e-9 * max(1.0, abs(a))

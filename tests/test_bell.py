@@ -42,7 +42,8 @@ def test_dof_count_k8():
     assert len(bell_dofs(8)) == 77 == (8 + 1) ** 2 - 4
 
 
-@pytest.mark.parametrize("bad_k", [0, 1, 2, 3])
+# a float is not a degree, even 4.0
+@pytest.mark.parametrize("bad_k", [0, 1, 2, 3, 4.0, 4.5])
 def test_rejects_low_degree(bad_k):
     with pytest.raises(ValueError):
         bell_dofs(bad_k)
@@ -50,6 +51,8 @@ def test_rejects_low_degree(bad_k):
         bell_space(bad_k)
     with pytest.raises(ValueError):
         select_bubbles(bad_k)
+    with pytest.raises(ValueError):
+        bell_nodal_basis(bad_k)  # 4.0 is not the cached 4
 
 
 def test_space_dimension(degree):

@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -123,8 +125,14 @@ def test_bfs_dims(degree):
 
 
 def test_bfs_rejects_low_degree():
-    with pytest.raises(ValueError):
-        bfs_element(3)
+    # a float is not a degree, even 4.0, and the cached k = 4 builds must
+    # not answer it
+    bfs_element(4), enriched_nodal_basis(4)
+    for k in (3, 4.0, 4.5):
+        for build in (bfs_element, enriched_dofs, enriched_space,
+                      *(partial(element_basis, family) for family in Family)):
+            with pytest.raises(ValueError, match="degree must be an integer of at least 4"):
+                build(k)
 
 
 def _random_space_member(family, k, rng):
@@ -218,7 +226,7 @@ def test_physical_basis_identity_at_unit_size(degree):
     dm = build_dof_map(mesh, eb)
     x, y = 0.3, 0.8
     for n in range(eb.dim):
-        got = evaluate_solution(mesh, dm, eb, _unit_coeffs(dm, 0, n), x, y, element=0)
+        got = evaluate_solution(dm, _unit_coeffs(dm, 0, n), x, y, element=0)
         assert got == pytest.approx(float(polyval(eb.nodal[n], x, y)), rel=1e-13)
 
 
@@ -238,7 +246,7 @@ def test_physical_interpolation_of_linear(rng):
     for _ in range(10):
         x = x0 + h * rng.uniform(0, 1)
         y = y0 + h * rng.uniform(0, 1)
-        got = evaluate_solution(mesh, dm, eb, coeffs, x, y, element=e)
+        got = evaluate_solution(dm, coeffs, x, y, element=e)
         assert got == pytest.approx(x, abs=1e-12)
 
 
@@ -253,7 +261,7 @@ def test_physical_second_derivative_scaling(rng):
     for _ in range(5):
         xi, eta = rng.uniform(0, 1, size=2)
         ref = float(polyval(_differentiate(eb.nodal[n], 2, 0), xi, eta))
-        phys = evaluate_solution(mesh, dm, eb, _unit_coeffs(dm, 0, n), h * xi, h * eta,
+        phys = evaluate_solution(dm, _unit_coeffs(dm, 0, n), h * xi, h * eta,
                                  deriv=(2, 0), element=0)
         assert phys == pytest.approx(ref * scale / h**2, rel=1e-12)
 

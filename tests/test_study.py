@@ -1,5 +1,6 @@
 import copy
 import gc
+import inspect
 import math
 import tracemalloc
 import weakref
@@ -97,7 +98,7 @@ def test_error_norms_of_zero_solution():
     eb = element_basis(Family.ENRICHED_P, 4)
     mesh = build_mesh(2)
     dm = build_dof_map(mesh, eb)
-    l2, h2 = error_norms(mesh, dm, eb, np.zeros(dm.total), exact)
+    l2, h2 = error_norms(dm, np.zeros(dm.total), exact)
     assert l2 == pytest.approx(0.375, rel=1e-10)
     assert h2 == pytest.approx(math.sqrt(2.0) * math.pi**2, rel=1e-10)
 
@@ -109,16 +110,16 @@ def test_error_norms_equal_four_grid_formula(rng):
     eb = element_basis(Family.ENRICHED_P, 5)
     mesh = RectMesh(24)
     dm = clamped_flags(build_dof_map(mesh, eb))
-    coeffs = interpolate(exact, mesh, dm, eb) + 1e-3 * rng.standard_normal(dm.total)
+    coeffs = interpolate(exact, dm) + 1e-3 * rng.standard_normal(dm.total)
     q = assembly.reference_table(eb).quad
     e00, e20, e11, e02 = (
         assembly.on_quadrature_grid(fn, mesh, q)
-        - assembly.evaluate_on_elements(mesh, dm, eb, coeffs, None, d)
+        - assembly.evaluate_on_elements(dm, coeffs, None, d)
         for fn, d in ((exact.u, (0, 0)), (exact.uxx, (2, 0)), (exact.uxy, (1, 1)),
                       (exact.uyy, (0, 2))))
     l2 = mesh.h**2 * float(np.sum((e00 * e00) @ q.weights))
     h2 = mesh.h**2 * float(np.sum((e20 * e20 + 2.0 * e11 * e11 + e02 * e02) @ q.weights))
-    assert error_norms(mesh, dm, eb, coeffs, exact) == (math.sqrt(l2), math.sqrt(h2))
+    assert error_norms(dm, coeffs, exact) == (math.sqrt(l2), math.sqrt(h2))
 
 
 @pytest.mark.parametrize("family,k,n", [
@@ -131,17 +132,17 @@ def test_error_norms_by_blocks_equal_four_grid_formula(rng, family, k, n):
     eb = element_basis(family, k)
     mesh = RectMesh(n)
     dm = clamped_flags(build_dof_map(mesh, eb))
-    coeffs = interpolate(exact, mesh, dm, eb) + 1e-3 * rng.standard_normal(dm.total)
+    coeffs = interpolate(exact, dm) + 1e-3 * rng.standard_normal(dm.total)
     q = assembly.reference_table(eb).quad
     assert 3 <= len(assembly.element_row_blocks(mesh, len(q.weights))) <= 8
     e00, e20, e11, e02 = (
         assembly.on_quadrature_grid(fn, mesh, q)
-        - assembly.evaluate_on_elements(mesh, dm, eb, coeffs, None, d)
+        - assembly.evaluate_on_elements(dm, coeffs, None, d)
         for fn, d in ((exact.u, (0, 0)), (exact.uxx, (2, 0)), (exact.uxy, (1, 1)),
                       (exact.uyy, (0, 2))))
     l2 = mesh.h**2 * float(np.sum((e00 * e00) @ q.weights))
     h2 = mesh.h**2 * float(np.sum((e20 * e20 + 2.0 * e11 * e11 + e02 * e02) @ q.weights))
-    assert error_norms(mesh, dm, eb, coeffs, exact) == (math.sqrt(l2), math.sqrt(h2))
+    assert error_norms(dm, coeffs, exact) == (math.sqrt(l2), math.sqrt(h2))
 
 
 def test_load_and_error_norms_hold_no_whole_grid():
@@ -152,11 +153,11 @@ def test_load_and_error_norms_hold_no_whole_grid():
     eb = element_basis(Family.ENRICHED_P, 4)
     mesh = RectMesh(64)
     dm = clamped_flags(build_dof_map(mesh, eb))
-    coeffs = interpolate(exact, mesh, dm, eb)
+    coeffs = interpolate(exact, dm)
     q = assembly.reference_table(eb).quad
     assert mesh.n_elements * len(q.weights) * 8 > 3.2e6
-    for call in (lambda: error_norms(mesh, dm, eb, coeffs, exact),
-                 lambda: assembly.assemble(mesh, dm, eb, exact.f)):
+    for call in (lambda: error_norms(dm, coeffs, exact),
+                 lambda: assembly.assemble(dm, exact.f)):
         tracemalloc.start()
         try:
             result = call()
@@ -181,10 +182,10 @@ def test_interpolation_reproduces_total_degree_space(rng):
         uy = staticmethod(lambda x, y: polyval(_differentiate(p, 0, 1), x, y))
         uxy = staticmethod(lambda x, y: polyval(_differentiate(p, 1, 1), x, y))
 
-    vec = interpolate(PolyExact, mesh, dm, eb)
+    vec = interpolate(PolyExact, dm)
     for _ in range(25):
         x, y = rng.uniform(0, 1, size=2)
-        got = assembly.evaluate_solution(mesh, dm, eb, vec, x, y)
+        got = assembly.evaluate_solution(dm, vec, x, y)
         assert got == pytest.approx(float(polyval(p, x, y)), abs=1e-9)
 
 
@@ -199,7 +200,7 @@ def test_interpolating_constant_sets_value_dofs():
         uy = staticmethod(lambda x, y: np.zeros_like(np.asarray(x, dtype=float)))
         uxy = staticmethod(lambda x, y: np.zeros_like(np.asarray(x, dtype=float)))
 
-    vec = interpolate(One, mesh, dm, eb)
+    vec = interpolate(One, dm)
     assert np.allclose(vec[dm.kind_code == 0], 1.0)
     assert np.allclose(vec[dm.kind_code != 0], 0.0)
 
@@ -209,7 +210,7 @@ def test_interpolant_of_exact_solution_respects_clamping():
     eb = element_basis(Family.ENRICHED_P, 4)
     mesh = build_mesh(3)
     dm = clamped_flags(build_dof_map(mesh, eb))
-    vec = interpolate(exact, mesh, dm, eb)
+    vec = interpolate(exact, dm)
     assert np.max(np.abs(vec[dm.is_boundary])) < 1e-12
 
 
@@ -223,8 +224,8 @@ def test_interpolation_error_small_at_high_degree():
     for level in (2, 3):
         mesh = build_mesh(level)
         dm = build_dof_map(mesh, eb)
-        vec = interpolate(exact, mesh, dm, eb)
-        l2, _ = error_norms(mesh, dm, eb, vec, exact)
+        vec = interpolate(exact, dm)
+        l2, _ = error_norms(dm, vec, exact)
         errs.append(l2)
     assert errs[1] < 1e-3
     assert errs[1] < errs[0] / 100.0
@@ -266,7 +267,7 @@ def test_meta_records_solver_and_quadrature():
     for level, row in enumerate(rep.meta["levels"][1:], start=2):
         mesh = build_mesh(level)
         dm = clamped_flags(build_dof_map(mesh, basis))
-        system = assembly.assemble(mesh, dm, basis, exact_solution().f)
+        system = assembly.assemble(dm, exact_solution().f)
         assert row["fill"] >= system.matrix.nnz > 0
     for row in rep.meta["levels"]:
         for stage in ("dof_map_s", "assemble_s", "solve_s", "errors_s"):
@@ -383,7 +384,7 @@ def test_config_validation():
     with pytest.raises(ValueError):
         StudyConfig(family=Family.ENRICHED_P, k=4, max_level=0)
     # rejected before any level is solved, not when build_mesh reaches it
-    with pytest.raises(ValueError, match=f"at most {MAX_LEVEL}"):
+    with pytest.raises(ValueError, match=f"refinement level must be in 1..{MAX_LEVEL}, got"):
         StudyConfig(family=Family.ENRICHED_P, k=4, max_level=MAX_LEVEL + 1)
 
 
@@ -395,9 +396,16 @@ def test_config_validation():
     # a bool is an int to Python, and the JSON report read "max_level": true
     (True, 2, "degree must be between 4 and 8"),
     (4, True, "refinement level must be in 1..16, got True"),
+    # out of range: rejected before any work too, not by build_mesh
+    (4, 0, "refinement level must be in 1..16, got 0"),
+    (4, MAX_LEVEL + 1, "refinement level must be in 1..16, got 17"),
 ])
-def test_study_and_verify_share_input_checks(k, level, message):
+def test_study_and_verify_share_input_checks(monkeypatch, k, level, message):
     # a ValueError before any work, not a FAIL row or a TypeError
+    def no_work(*args):
+        raise AssertionError("element built before the input checks")
+
+    monkeypatch.setattr(study, "element_basis", no_work)
     with pytest.raises(ValueError, match=message):
         StudyConfig(family=Family.ENRICHED_P, k=k, max_level=level)
     with pytest.raises(ValueError, match=message):
@@ -427,10 +435,11 @@ def test_solver_failure_keeps_level_and_counts():
     assert err.value.residual >= 0.0
 
 
-def _pointwise_jumps(mesh, dm, eb, coeffs, samples):
+def _pointwise_jumps(dm, coeffs, samples):
     """Per interior edge (lower/left element, upper/right element): the max
     value/gradient jump from per-point evaluation; plus max |u_h| below."""
     ts = (np.arange(samples) + 0.5) / samples
+    mesh = dm.mesh
     n, h = mesh.n, mesh.h
     edges = [((i, j - 1), (i, j), [((i + t) * h, j * h) for t in ts])
              for j in range(1, n) for i in range(n)]
@@ -443,8 +452,8 @@ def _pointwise_jumps(mesh, dm, eb, coeffs, samples):
         worst = 0.0
         for x, y in points:
             for d in ((0, 0), (1, 0), (0, 1)):
-                a = assembly.evaluate_solution(mesh, dm, eb, coeffs, x, y, d, element=lo)
-                b = assembly.evaluate_solution(mesh, dm, eb, coeffs, x, y, d, element=hi)
+                a = assembly.evaluate_solution(dm, coeffs, x, y, d, element=lo)
+                b = assembly.evaluate_solution(dm, coeffs, x, y, d, element=hi)
                 worst = max(worst, abs(a - b))
                 if d == (0, 0):
                     umax = max(umax, abs(a))
@@ -452,26 +461,54 @@ def _pointwise_jumps(mesh, dm, eb, coeffs, samples):
     return jumps, umax
 
 
-def test_c1_jump_matches_pointwise_on_permuted_map():
-    # reversing one element's local-to-global row makes the function
-    # non-conforming across exactly that element's four edges
-    eb = element_basis(Family.ENRICHED_P, 5)
-    mesh = build_mesh(3)
-    dm = build_dof_map(mesh, eb)
+def _permuted_map():
+    """p-enriched k=5 level 3 with element (1, 2)'s local-to-global row
+    reversed, which makes the function non-conforming across exactly that
+    element's four edges; random coefficients."""
+    dm = build_dof_map(build_mesh(3), element_basis(Family.ENRICHED_P, 5))
     l2g = dm.local_to_global.copy()
-    bad = mesh.element_id(1, 2)
+    bad = dm.mesh.element_id(1, 2)
     l2g[bad] = l2g[bad, ::-1]
-    broken = replace(dm, local_to_global=l2g)
-    coeffs = np.random.default_rng(3).standard_normal(dm.total)
+    return replace(dm, local_to_global=l2g), np.random.default_rng(3).standard_normal(dm.total)
 
-    jumps, umax = _pointwise_jumps(mesh, broken, eb, coeffs, samples=4)
+
+def test_c1_jump_matches_pointwise_on_permuted_map():
+    broken, coeffs = _permuted_map()
+    mesh = broken.mesh
+    bad = mesh.element_id(1, 2)
+    jumps, umax = _pointwise_jumps(broken, coeffs, samples=4)
     assert len(jumps) == 2 * mesh.n * (mesh.n - 1)
     known = {(mesh.element_id(1, 1), bad), (bad, mesh.element_id(1, 3)),
              (mesh.element_id(0, 2), bad), (bad, mesh.element_id(2, 2))}
     assert {edge for edge, jump in jumps.items() if jump > 1e-6} == known
     expected = max(jumps.values()) / umax
-    assert c1_jump(mesh, broken, eb, coeffs, samples_per_edge=4) == pytest.approx(
+    assert c1_jump(broken, coeffs, samples_per_edge=4) == pytest.approx(
         expected, rel=1e-12)
+
+
+def test_c1_jump_rejects_bad_sample_counts():
+    # a count below 1 samples nothing, and the empty maximum 0.0 would pass
+    broken, coeffs = _permuted_map()
+    assert c1_jump(broken, coeffs, 4) == pytest.approx(26.3787, rel=1e-5)
+    for samples in (0, -3, 2.5):
+        with pytest.raises(ValueError, match="samples per edge"):
+            c1_jump(broken, coeffs, samples)
+
+
+def test_dof_map_functions_take_no_mesh_or_basis():
+    # the map carries its mesh and basis, so a function that takes one
+    # cannot be handed a mesh or basis that disagrees with it
+    checked = set()
+    for module in (assembly, study):
+        for name, fn in inspect.getmembers(module, inspect.isfunction):
+            if name.startswith("_") or fn.__module__ != module.__name__:
+                continue
+            params = inspect.signature(fn).parameters
+            if "dof_map" in params:
+                checked.add(name)
+                assert not {"mesh", "basis"} & set(params), name
+    assert checked >= {"assemble", "evaluate_on_elements", "evaluate_solution",
+                       "error_norms", "c1_jump", "interpolate"}
 
 
 def _side_points(samples):
@@ -494,9 +531,9 @@ def test_side_points_by_blocks_equal_one_row_at_a_time(family, rng):
     assert len(assembly.element_row_blocks(mesh, max(len(sides), eb.dim))) > 1
     n = mesh.n
     for d in ((0, 0), (1, 0), (0, 1)):
-        whole = assembly.evaluate_on_elements(mesh, dm, eb, coeffs, sides, d)
-        rows = [assembly.evaluate_on_elements(mesh, dm, eb, coeffs, sides, d,
-                                              slice(j * n, (j + 1) * n)) for j in range(n)]
+        whole = assembly.evaluate_on_elements(dm, coeffs, sides, d)
+        rows = [assembly.evaluate_on_elements(dm, coeffs, sides, d,
+                                             slice(j * n, (j + 1) * n)) for j in range(n)]
         assert np.array_equal(whole, np.concatenate(rows))
 
 
@@ -510,7 +547,7 @@ def test_c1_jump_holds_no_whole_coefficient_gather(rng):
     coeffs = rng.standard_normal(dm.total)
     tracemalloc.start()
     try:
-        c1_jump(mesh, dm, eb, coeffs)
+        c1_jump(dm, coeffs)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -581,7 +618,7 @@ def test_tensor_grid_errors_match_per_element_points(family, k):
     mesh = RectMesh(3)
     dm = clamped_flags(build_dof_map(mesh, eb))
     exact = exact_solution()
-    coeffs = interpolate(exact, mesh, dm, eb)
+    coeffs = interpolate(exact, dm)
     rule = assembly.reference_table(eb).quad
     x0, y0 = mesh.element_corner(np.arange(mesh.n_elements))
     xs = x0[:, None] + mesh.h * rule.points[:, 0]
@@ -592,7 +629,7 @@ def test_tensor_grid_errors_match_per_element_points(family, k):
         fresh = eb.tabulate_grid(rule.nodes, d) * scale
         old = fn(xs, ys) - coeffs[dm.local_to_global] @ fresh.T
         new = assembly.on_quadrature_grid(fn, mesh, rule) - \
-            assembly.evaluate_on_elements(mesh, dm, eb, coeffs, None, d)
+            assembly.evaluate_on_elements(dm, coeffs, None, d)
         assert np.array_equal(new, old)
 
 
