@@ -1,6 +1,7 @@
 """Print digests of element data, DOF maps and level-3 systems (element
-block, element slots and load), the study rows of the benchmark's cases, and
-CG study rows of two cases, to check that a change leaves them bit-identical.
+block, element slots and load), of CG's preconditioner blocks, the study rows
+of the benchmark's cases, and CG study rows of two cases, to check that a
+change leaves them bit-identical.
 
 Run each checkout's own copy on its own ``src`` and compare the outputs:
 
@@ -20,6 +21,9 @@ L2 error moves in the third digit), so the script pins OpenBLAS, OpenMP and
 MKL to one thread before numpy is imported; to compare with a checkout whose
 copy does not, set ``OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1 MKL_NUM_THREADS=1``
 in the environment of both runs.
+The ``precond`` line of a family hashes, for k = 4 and 8 at level 3, the
+blocks that CG's preconditioner inverts, one per class of elements, in the
+order of the class codes; checkouts before the per-class sum print none.
 Element data is hashed straight from the ``nodal`` coefficient stacks.
 Older checkouts, which kept each basis as a list of polynomial objects,
 hash the same zero-padded stack in their own copy, so a ``git archive`` of
@@ -33,7 +37,7 @@ os.environ.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS
 
 import numpy as np
 
-from c1rect import (Family, StudyConfig, assemble, bell_nodal_basis,
+from c1rect import (Family, StudyConfig, assemble, assembly, bell_nodal_basis,
                     build_dof_map, build_mesh, clamped_flags, element_basis,
                     exact_solution, run_study, verify)
 
@@ -76,6 +80,24 @@ for family in Family:
                 lo = (block - hi).astype(float)
                 print("  level 3 system", digest(hi, lo, system.element_slots, system.rhs))
         print("  verify", [(c.name, repr(c.value)) for c in verify(family, k, 3)])
+
+
+def preconditioner_blocks(system) -> list:
+    """The blocks that CG's preconditioner hands to ``_inverse_factor``."""
+    blocks, inverse_factor = [], assembly._inverse_factor
+    assembly._inverse_factor = lambda a: blocks.append(a.copy()) or inverse_factor(a)
+    try:
+        assembly._element_block_preconditioner(system, system.element_matrix.astype(float))
+    finally:
+        assembly._inverse_factor = inverse_factor
+    return blocks
+
+
+for family in Family:
+    systems = [assemble(clamped_flags(build_dof_map(build_mesh(3), element_basis(family, k))),
+                        exact_solution().f) for k in (4, 8)]
+    print(f"precond {family.value} k=4,8 level 3",
+          digest(*(b for system in systems for b in preconditioner_blocks(system))))
 
 # p-enriched k=4, 5 to level 6 and both families k=6..8 to level 4, and
 # CG rows for p-enriched k=4 to level 5 and q-bfs k=8 to level 3

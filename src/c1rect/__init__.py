@@ -26,7 +26,6 @@ from .bell import (
 from .elements import (
     ElementBasis,
     Family,
-    MismatchedCounts,
     UnisolvencyReport,
     bfs_element,
     element_basis,

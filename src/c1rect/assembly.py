@@ -493,53 +493,28 @@ def _element_sum(groups: list[np.ndarray], blocks: list[FloatArray],
     return apply
 
 
-def _element_block_preconditioner(system: LinearSystem, block: FloatArray,
-                                  ) -> Callable[[FloatArray], FloatArray]:
-    """Additive Schwarz over elements: r -> sum_e R_e^T A_ee^-1 R_e r.
-
-    A_ee = S_e B_e S_e, so the sum is S^-1 P(S^-1 r) for P, the same sum over
-    the B_e^-1.  B_e, the sum of the float64 A_1 ``block`` on the element's
-    free slots, is shared by the elements that touch the same sides of the
-    square (:func:`_sides`), so it is read once per class, from the product
-    with ``block`` on the unit vectors of the first element's free slots,
-    with the identity on constrained slots.  The product runs over the
-    elements that touch a probed slot only, on their own slots: these hold
-    every term on the probed slots, summed in the same element order.  Each
-    distinct block is inverted once through :func:`_inverse_factor` and
-    applied to all of its elements in one product.  Only A_1's products
-    enter, never the global factorization, so CG stays an independent check.
-    """
+def _element_block_preconditioner(system: LinearSystem, block: FloatArray) -> Callable:
+    """Additive Schwarz over elements: r -> sum_e R_e^T A_ee^-1 R_e r =
+    S^-1 P(S^-1 r), for P the same sum over the B_e^-1, B_e the float64 A_1
+    ``block`` summed on e's free slots, the identity on constrained ones.
+    B_e depends on e's class (:func:`_sides`) only, so it is summed around
+    each class's first element and inverted once per class.  Only A_1
+    enters, never the global factorization: CG stays an independent check."""
     slots, n = system.element_slots, system.n_free
     side = round(len(slots) ** 0.5)
     y0, x0 = np.divmod(np.arange(len(slots)), side)
-    _, first, cls = np.unique(_sides(x0, y0, 1, 1, side), return_index=True,
-                              return_inverse=True)
-    rep = slots[first]
-    probe = np.unique(rep[rep >= 0])
-    # the touched elements' slots, numbered by their rank among these slots
-    touched = slots[np.isin(slots, probe).any(axis=1)]
-    local = np.unique(touched[touched >= 0])
-    product = _element_sum([np.where(touched >= 0, np.searchsorted(local, touched), -1)],
-                           [block], len(local))
-    sub = np.zeros((len(probe) + 1,) * 2)  # A on the probed slots; last: constrained
-    at = np.searchsorted(local, probe)
-    for row, s in enumerate(at):
-        sub[row, :-1] = product(np.eye(1, len(local), s)[0])[at]
-    at = np.where(rep >= 0, np.searchsorted(probe, rep), len(probe))
-    blocks = sub[at[:, :, None], at[:, None, :]]
-    c, a = np.nonzero(rep < 0)
-    blocks[c, a, a] = 1.0
-    # distinct blocks in lexicographic order, the order of np.unique(axis=0)
-    flat = blocks.reshape(len(blocks), -1)
-    order = np.array(sorted(range(len(flat)), key=flat.tolist().__getitem__))
-    new = np.append(True, np.any(flat[order[1:]] != flat[order[:-1]], axis=1))
-    kind = np.empty(len(blocks), dtype=np.int64)
-    kind[order] = np.cumsum(new) - 1
-    kind = kind[cls]
+    _, first, cls = np.unique(_sides(x0, y0, 1, 1, side), return_index=True, return_inverse=True)
+    probe = np.unique(slots[first][slots[first] >= 0])  # the first elements' free slots
+    at = np.full(n + 1, len(probe))  # a slot's rank among them; any other, and -1: the last
+    at[probe] = np.arange(len(probe))
+    touched = at[slots[np.isin(slots, probe).any(axis=1)]]
+    sub = np.zeros((len(probe) + 1,) * 2)
+    np.add.at(sub, (touched[:, :, None], touched[:, None, :]), block)  # in element order
+    ix = at[slots[first]][:, :, None], at[slots[first]][:, None, :]  # each class's block in sub
+    blocks = np.where((ix[0] < len(probe)) & (ix[1] < len(probe)), sub[ix], np.eye(len(block)))
     # A_ee^-1 = M^T M for M = L^-1; numpy forms M^T M by syrk, exactly symmetric
-    inv = [m.T @ m for m in map(_inverse_factor, blocks[order[new]])]
-    by_kind = slots[np.argsort(kind, kind="stable")]
-    groups = np.split(by_kind, np.cumsum(np.bincount(kind))[:-1])
+    inv = [m.T @ m for m in map(_inverse_factor, blocks)]
+    groups = np.split(slots[np.argsort(cls, kind="stable")], np.cumsum(np.bincount(cls))[:-1])
     return _scaled(1.0 / system.scale, _element_sum(groups, inv, n))
 
 
@@ -664,8 +639,7 @@ def solve(system: LinearSystem, rel_tol: float = 1e-13,
         return SolveResult(np.zeros(system.total), 0, 0.0, "empty", 0, 0)
     block = system.element_matrix.astype(float)
     if method == "direct":
-        correction, fill, made = _direct_solver(
-            system, block, FrontStore() if store is None else store)
+        correction, fill, made = _direct_solver(system, block, store or FrontStore())
     # one float64 product for CG and the refinement, formed after the factor
     product = _scaled(system.scale, _element_sum([system.element_slots], [block], system.n_free))
     if method == "cg":
@@ -684,12 +658,13 @@ def evaluate_on_elements(dof_map: DofMap, coeffs: FloatArray, ref_points: FloatA
     points shared by every element.
 
     ref_points: (npts, 2) coordinates on [0,1]^2, or None for the cached
-    tabulation on :func:`reference_table`'s rule.  Returns one row per
-    element of the slice ``elements`` (all by default), filled by the blocks
-    of :func:`element_row_blocks` for max(npts, dim) points, counted from the
-    slice's first element.  On the rule npts > dim, so a block of the rule
-    is one block here and keeps its bits (a BLAS product can round a row by
-    the number of rows).  ``coeffs`` holds one value per global DOF.
+    tabulation of (0, 0), (2, 0), (1, 1) or (0, 2) on :func:`reference_table`'s
+    rule.  Returns one row per element of the slice ``elements`` (all by
+    default), filled by the blocks of :func:`element_row_blocks` for
+    max(npts, dim) points, counted from the slice's first element.  On the
+    rule npts > dim, so a block of the rule is one block here and keeps its
+    bits (a BLAS product can round a row by the number of rows).  ``coeffs``
+    holds one value per global DOF.
     """
     coeffs = np.asarray(coeffs, dtype=float)
     if coeffs.shape != (dof_map.total,):
@@ -697,6 +672,9 @@ def evaluate_on_elements(dof_map: DofMap, coeffs: FloatArray, ref_points: FloatA
     mesh, basis = dof_map.mesh, dof_map.basis
     # physical nodal n = h^o_n * reference nodal n; each derivative divides by h
     scale = mesh.h ** (basis.deriv_orders - deriv[0] - deriv[1]).astype(float)
+    if ref_points is None and deriv not in reference_table(basis).tab:
+        raise ValueError(f"the rule's tabulation holds derivatives (0, 0), (2, 0), (1, 1) and "
+                         f"(0, 2), not {deriv}; other derivatives need explicit points")
     vals = (reference_table(basis).tab[deriv] if ref_points is None
             else basis.tabulate(ref_points, deriv)) * scale
     l2g = dof_map.local_to_global[elements]

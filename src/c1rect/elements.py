@@ -34,10 +34,6 @@ class Family(str, Enum):
     BFS_Q = "q-bfs"
 
 
-class MismatchedCounts(RuntimeError):
-    """Space dimension and DOF count disagree."""
-
-
 #: reference corners in local order: (0,0), (1,0), (1,1), (0,1)
 VERTICES = ((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0))
 
@@ -164,17 +160,11 @@ def enriched_space(k: int) -> FloatArray:
     return np.concatenate([_pk_monomials(k), [bb.bubble(lab) for lab in select_bubbles(k)]])
 
 
-def _element(family: Family, k: int, dofs, span, edge_dof_count: int) -> ElementBasis:
-    if len(dofs) != len(span):
-        raise MismatchedCounts(f"{len(span)} span members vs {len(dofs)} DOFs")
-    nodal, rcond = dual_nodal_basis(dofs, span)
-    return ElementBasis(family, k, dofs, nodal, edge_dof_count, rcond)
-
-
 @lru_cache(maxsize=None, typed=True)  # typed: 4.0 is not a cached 4
 def enriched_nodal_basis(k: int) -> ElementBasis:
-    return _element(Family.ENRICHED_P, k, enriched_dofs(k), enriched_space(k),
-                    edge_dof_count=2 * k - 7)
+    dofs = enriched_dofs(k)
+    nodal, rcond = dual_nodal_basis(dofs, enriched_space(k))
+    return ElementBasis(Family.ENRICHED_P, k, dofs, nodal, 2 * k - 7, rcond)
 
 
 @lru_cache(maxsize=None, typed=True)  # typed: 4.0 is not a cached 4
@@ -188,7 +178,8 @@ def bfs_element(k: int) -> ElementBasis:
     _check_degree(k)
     t = [i / (k - 2) for i in range(1, k - 2)]
     dofs = _dof_list(t, t, [(ti, tj) for tj in t for ti in t])
-    return _element(Family.BFS_Q, k, dofs, _qk_monomials(k), edge_dof_count=2 * (k - 3))
+    nodal, rcond = dual_nodal_basis(dofs, _qk_monomials(k))
+    return ElementBasis(Family.BFS_Q, k, dofs, nodal, 2 * (k - 3), rcond)
 
 
 def element_basis(family: Family, k: int) -> ElementBasis:

@@ -119,6 +119,13 @@ class DofMap:
     mesh: RectMesh = field(repr=False)
     basis: ElementBasis = field(repr=False)
 
+    def __post_init__(self):
+        if self.local_to_global.shape != (self.mesh.n_elements, self.basis.dim):
+            raise ValueError(f"local_to_global of shape {self.local_to_global.shape} for "
+                             f"{self.mesh.n_elements} elements of {self.basis.dim} local DOFs")
+        if len(self.is_boundary) != self.total:
+            raise ValueError(f"{len(self.is_boundary)} boundary flags for {self.total} DOFs")
+
     @cached_property
     def kind_code(self) -> np.ndarray:
         kind_code = np.empty(self.total, dtype=np.int8)

@@ -1,3 +1,4 @@
+import re
 from collections import Counter
 from dataclasses import replace
 
@@ -255,7 +256,7 @@ def test_operator_matches_scaled_element_block(family, k, level, rng):
     # level 3: q-bfs k=8 blocks have 81 rows, past _inverse_cholesky's split at 64
     (Family.ENRICHED_P, 8, 4), (Family.BFS_Q, 8, 4),
     # n = 3 and 5 are not powers of two
-    *[(Family.BFS_Q, 5, n) for n in (1, 2, 3, 5)]])
+    *[(Family.BFS_Q, 5, n) for n in (1, 2, 3, 5)], *[(Family.ENRICHED_P, 4, n) for n in (3, 5)]])
 def test_preconditioner_sums_element_block_inverses(family, k, n, rng):
     eb, mesh = element_basis(family, k), RectMesh(n)
     system = assembly.assemble(clamped_flags(build_dof_map(mesh, eb)), exact_solution().f)
@@ -275,46 +276,62 @@ def test_preconditioner_sums_element_block_inverses(family, k, n, rng):
     assert np.max(np.abs(_preconditioner(system)(r) - ref)) <= tol * np.max(np.abs(ref))
 
 
-@pytest.mark.parametrize("family,k,level", [(Family.ENRICHED_P, 4, 5), (Family.BFS_Q, 8, 4)])
-def test_cg_inverts_one_block_per_class(monkeypatch, family, k, level):
-    # at most 9 classes: interior, 4 sides and 4 corners
-    _, _, _, system = _system(family, k, level, exact_solution().f)
-    calls = []
+def _class_firsts(n):
+    """The first element of each class of the n x n grid, in the order of
+    :func:`assembly._sides`'s codes."""
+    y0, x0 = np.divmod(np.arange(n * n), n)
+    return np.unique(assembly._sides(x0, y0, 1, 1, n), return_index=True)[1]
+
+
+def _inverted_blocks(monkeypatch, system):
+    """The blocks that the preconditioner hands to ``_inverse_factor``, in order."""
+    inverted = []
     inverse_factor = assembly._inverse_factor
-
-    def counting(a):
-        calls.append(a.shape)
-        return inverse_factor(a)
-
-    monkeypatch.setattr(assembly, "_inverse_factor", counting)
+    monkeypatch.setattr(assembly, "_inverse_factor",
+                        lambda a: inverted.append(a.copy()) or inverse_factor(a))
     _preconditioner(system)
-    assert 0 < len(calls) <= 9
+    return inverted
+
+
+@pytest.mark.parametrize("family,k,level", [(Family.ENRICHED_P, 4, 5), (Family.BFS_Q, 8, 4),
+                                            (Family.BFS_Q, 5, 1), (Family.ENRICHED_P, 8, 2)])
+def test_cg_inverts_one_block_per_class(monkeypatch, family, k, level):
+    # 9 classes from n = 3 on (interior, 4 sides, 4 corners), 4 at n = 2, 1 at n = 1
+    _, _, _, system = _system(family, k, level, exact_solution().f)
+    classes = len(_class_firsts(2 ** (level - 1)))
+    assert classes == {1: 1, 2: 4}.get(level, 9)
+    assert len(_inverted_blocks(monkeypatch, system)) == classes
 
 
 @pytest.mark.parametrize("family,k,level", [(Family.ENRICHED_P, 4, 5), (Family.BFS_Q, 8, 4)])
 def test_preconditioner_blocks_equal_whole_grid_probes(monkeypatch, family, k, level):
     # the block of each class's first element, read by whole-grid products
     # with A_1, without the level's scaling, on the unit vectors of its free
-    # slots, constrained slots set to the identity
+    # slots, constrained slots set to the identity; inverted class by class
     _, _, _, system = _system(family, k, level, exact_solution().f)
     slots, n = system.element_slots, system.n_free
     product = assembly._element_sum([slots], [system.element_matrix.astype(float)], n)
-    side = 2 ** (level - 1)
     blocks = []
-    for e in (0, 1, side - 1, side, side + 1, 2 * side - 1,
-              side * (side - 1), side * (side - 1) + 1, side * side - 1):
+    for e in _class_firsts(2 ** (level - 1)):
         free = slots[e] >= 0
         block = np.eye(slots.shape[1])
         block[np.ix_(free, free)] = [product(np.eye(1, n, s)[0])[slots[e, free]]
                                      for s in slots[e, free]]
-        blocks.append(block.ravel())
-    distinct = np.unique(blocks, axis=0).reshape(-1, *block.shape)
-    inverted = []
-    inverse_factor = assembly._inverse_factor
-    monkeypatch.setattr(assembly, "_inverse_factor",
-                        lambda a: inverted.append(a) or inverse_factor(a))
-    _preconditioner(system)
-    assert np.array_equal(inverted, distinct)
+        blocks.append(block)
+    assert np.array_equal(_inverted_blocks(monkeypatch, system), blocks)
+
+
+@pytest.mark.parametrize("family,k", [(family, k) for family in Family for k in (4, 8)])
+def test_preconditioner_blocks_of_distinct_classes_differ(monkeypatch, family, k):
+    # so inverting one block per class inverts no block twice
+    eb = element_basis(family, k)
+    for n in range(1, 9):
+        system = assembly.assemble(clamped_flags(build_dof_map(RectMesh(n), eb)),
+                                   exact_solution().f)
+        blocks = _inverted_blocks(monkeypatch, system)
+        assert len(blocks) == len(_class_firsts(n))
+        flat = np.reshape(blocks, (len(blocks), -1))
+        assert len(np.unique(flat, axis=0)) == len(blocks), n
 
 
 def _factor(system):
@@ -1002,6 +1019,21 @@ def test_evaluation_rejects_coefficients_of_wrong_length(extra):
         assembly.evaluate_on_elements(dm, coeffs, None)
     with pytest.raises(ValueError, match=message):
         evaluate_solution(dm, coeffs, 0.25, 0.25)
+
+
+@pytest.mark.parametrize("deriv", [(1, 0), (0, 1), (2, 2)])
+def test_evaluation_on_the_rule_rejects_untabulated_derivatives(deriv, rng):
+    # the rule's tabulation holds four derivatives; (1, 0) raised a bare
+    # KeyError: (1, 0)
+    dm = build_dof_map(build_mesh(2), element_basis(Family.ENRICHED_P, 4))
+    coeffs = rng.standard_normal(dm.total)
+    message = (r"\(0, 0\), \(2, 0\), \(1, 1\) and \(0, 2\), not " + re.escape(str(deriv))
+               + "; other derivatives need explicit points")
+    with pytest.raises(ValueError, match=message):
+        assembly.evaluate_on_elements(dm, coeffs, None, deriv)
+    # at explicit points every derivative is tabulated
+    vals = assembly.evaluate_on_elements(dm, coeffs, np.array([[0.25, 0.5]]), deriv)
+    assert vals.shape == (4, 1) and np.all(np.isfinite(vals))
 
 
 def test_evaluate_solution_out_of_domain():

@@ -1,10 +1,12 @@
+import re
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from c1rect.elements import VERTEX_KINDS, Family, element_basis
-from c1rect.mesh import MAX_LEVEL, RectMesh, build_dof_map, build_mesh, clamped_flags
+from c1rect.mesh import MAX_LEVEL, DofMap, RectMesh, build_dof_map, build_mesh, clamped_flags
 from c1rect.study import expected_dim
 
 
@@ -259,3 +261,23 @@ def test_dof_map_and_flags_form_no_per_dof_points():
         tracemalloc.stop()
     assert held >= dm.local_to_global.nbytes + dm.is_boundary.nbytes
     assert peak - held <= 0.6e6
+
+
+def test_dof_map_rejects_a_mesh_or_basis_that_disagrees_with_its_table():
+    # a p-enriched k=4 level-3 map given the k=5 basis, or a level-4 mesh,
+    # failed inside numpy's matmul in assemble, or with a broadcast error in
+    # error_norms
+    dm = clamped_flags(build_dof_map(build_mesh(3), element_basis(Family.ENRICHED_P, 4)))
+    fields = {name: getattr(dm, name)
+              for name in ("total", "local_to_global", "is_boundary", "mesh", "basis")}
+    message = "local_to_global of shape " + re.escape(str(dm.local_to_global.shape))
+    for name, value in (("basis", element_basis(Family.ENRICHED_P, 5)), ("mesh", build_mesh(4))):
+        with pytest.raises(ValueError, match=message):
+            DofMap(**{**fields, name: value})
+        with pytest.raises(ValueError, match=message):
+            replace(dm, **{name: value})
+    for changed in ({"is_boundary": dm.is_boundary[:-1]}, {"total": dm.total + 1}):
+        with pytest.raises(ValueError, match="boundary flags for"):
+            DofMap(**{**fields, **changed})
+        with pytest.raises(ValueError, match="boundary flags for"):
+            replace(dm, **changed)
